@@ -33,6 +33,17 @@ class UsageError(ValueError):
     pass
 
 
+def finite_float(text: str) -> float:
+    """argparse type for float flags: rejects nan and +-inf."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def parse_grid_spec(text: str, minimum: int = 2) -> np.ndarray:
     """Parse 'start:stop:count' into an inclusive linear grid."""
     parts = text.split(":")
@@ -42,6 +53,8 @@ def parse_grid_spec(text: str, minimum: int = 2) -> np.ndarray:
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise UsageError(f"bad grid {text!r}: {exc}") from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise UsageError(f"grid endpoints must be finite, got {text!r}")
     if count < minimum:
         raise UsageError(f"grid needs at least {minimum} points, got {count}")
     if hi <= lo:
@@ -112,8 +125,11 @@ def _fmt(x: float) -> str:
 def _emit(lines: list[str], output: str | None) -> None:
     text = "\n".join(lines) + "\n"
     if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {output}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -277,7 +293,7 @@ def cmd_optimize(args) -> int:
         payload = _optimum_report(args.phi)
     else:
         raise UsageError("optimize needs --phi, --scan-phi, or --crossover")
-    _emit([json.dumps(payload, indent=2, sort_keys=True)], args.output)
+    _emit([json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)], args.output)
     return 0
 
 
@@ -470,8 +486,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("hom", help="two-port beamsplitter coincidence and visibility")
-    p.add_argument("--R", type=float, default=0.5, help="beamsplitter reflectance")
-    p.add_argument("--g2", type=float, help="source g2")
+    p.add_argument("--R", type=finite_float, default=0.5, help="beamsplitter reflectance")
+    p.add_argument("--g2", type=finite_float, help="source g2")
     p.add_argument("--source", help="source spec instead of --g2 (e.g. thermal)")
     p.add_argument("--scan-g2", help="g2 grid start:stop:count")
     p.add_argument("-o", "--output", help="write CSV here instead of stdout")
@@ -506,8 +522,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coinc", help="ad-hoc coincidence evaluation on any circuit")
     p.add_argument("--dft", type=int, help="use the N-port DFT circuit")
-    p.add_argument("--beamsplitter", type=float, help="use a beamsplitter of reflectance R")
-    p.add_argument("--symmetric", type=float, help="use the symmetric 3-port at phase PHI")
+    p.add_argument("--beamsplitter", type=finite_float, help="use a beamsplitter of reflectance R")
+    p.add_argument("--symmetric", type=finite_float, help="use the symmetric 3-port at phase PHI")
     p.add_argument("--circuit", help="JSON circuit file {n, re, im}")
     p.add_argument(
         "--sources",
@@ -518,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_coinc)
 
     p = sub.add_parser("optimize", help="noise/Fock optimization reports (JSON)")
-    p.add_argument("--phi", type=float, help="single-phase report")
+    p.add_argument("--phi", type=finite_float, help="single-phase report")
     p.add_argument("--scan-phi", help="phi grid start:stop:count")
     p.add_argument(
         "--crossover",

@@ -15,6 +15,17 @@ The distinguishable sum divides by prod s_i! exactly once: the permanent
 of a matrix with a repeated column already counts every ordering of the
 identical photons, and squaring the factor would double-count it.
 
+Every weight comes from one polynomial expansion per circuit (Aaronson &
+Arkhipov, "The computational complexity of linear optics", 2011):
+
+    Per(M_d(s)) / prod_j s_j! = [x^s] prod_i (sum_j m_ij x_j)
+
+run over M = U and M = V at once.  A circuit's table holds the two float
+arrays w_id = |c_U(s)|^2 and w_dist = Re c_V(s), in the order of
+``enumerate_exponent_tuples(N)``; a pattern sum is then one gather of a
+per-port table T[i, m] = n_i^m g_i^(m), a product over ports and a dot
+product with the weights.
+
 Besides the general engines this module carries independent closed forms
 used for cross-checking: the explicit 3-port expansion with per-port
 statistics, the two-port beamsplitter case, the balanced 3-port (DFT)
@@ -107,48 +118,95 @@ def _compositions(total: int, slots: int) -> tuple[tuple[int, ...], ...]:
 
 # --- general engines -------------------------------------------------------
 
-# Permanents depend only on the circuit, so each circuit gets one table of
-# per-pattern weights that scans then reuse across thousands of source
-# configurations.  Keyed by the matrix bytes; lru_cache makes concurrent
-# readers safe.
+# The weights depend only on the circuit, so each circuit gets one table
+# that scans then reuse across thousands of source configurations: the pair
+# (w_id, w_dist) of read-only float arrays, entry k belonging to pattern
+# enumerate_exponent_tuples(N)[k].  Keyed by the matrix bytes; lru_cache
+# makes concurrent readers safe.
+
+@lru_cache(maxsize=None)  # one entry per port count, so at most MAX_PORTS
+def _expansion_plan(n: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """Index arrays shared by every N-port table and pattern sum.
+
+    * ``s``: the exponent matrix (K x N, one pattern per row, table order);
+    * ``take``: flat indices into an N x (N+1) per-port table T, so that
+      ``T.take(take)[k, i] == T[i, s[k, i]]``;
+    * ``shifts[k]`` (N x 2K_k): the shift maps of degree k on a (2, K_k)
+      stack of coefficient vectors, flattened.  Row j sends each degree-k
+      pattern p of either half to p + e_j in the same half of the flattened
+      (2, K_{k+1}) stack, so one 1-D scatter-add serves U and V at once.
+
+    Patterns of one degree are ranked by their base-(N+1) code, which
+    sorts like the tuples do, so each map is one ``searchsorted``.
+    """
+    s = np.array(enumerate_exponent_tuples(n))  # rejects n outside 1..MAX_PORTS
+    radix = (n + 1) ** np.arange(n - 1, -1, -1)
+    codes = [np.array(_compositions(k, n)) @ radix for k in range(n)] + [s @ radix]
+    shifts = []
+    for k in range(n):
+        to = np.searchsorted(codes[k + 1], codes[k] + radix[:, None])
+        shifts.append(np.concatenate((to, to + len(codes[k + 1])), axis=1))
+    return s, np.arange(n) * (n + 1) + s, tuple(shifts)
+
 
 @lru_cache(maxsize=256)
-def _weights_cached(n: int, key: bytes):
+def _weights_cached(n: int, key: bytes) -> tuple[np.ndarray, np.ndarray]:
     u = np.frombuffer(key, dtype=np.complex128).reshape(n, n)
-    v = linalg.mod_squared(u)
-    table = []
-    for s in enumerate_exponent_tuples(n):
-        d = linalg.mode_assignment(s)
-        norm = math.prod(math.factorial(si) for si in s)
-        per_u = linalg.permanent(linalg.column_select(u, d))
-        per_v = linalg.permanent(linalg.column_select(v, d))
-        table.append((s, abs(per_u / norm) ** 2, per_v.real / norm))
-    return tuple(table)
+    m = np.stack((u, np.abs(u) ** 2), axis=-1)[..., None]  # m[i, j] = [[u_ij], [v_ij]]
+    # Multiply in one row factor sum_j m_ij x_j at a time.  For a fixed j
+    # the map p -> p + e_j is injective, so a fancy-index += is exact.
+    coeffs = np.ones((2, 1), dtype=np.complex128)
+    for i, shifts in enumerate(_expansion_plan(n)[2]):
+        grown = np.zeros(2 * math.comb(n + i, n - 1), dtype=np.complex128)
+        for j, to in enumerate(shifts):
+            grown[to] += (m[i, j] * coeffs).ravel()
+        coeffs = grown.reshape(2, -1)
+    w_id = np.abs(coeffs[0]) ** 2
+    w_dist = np.ascontiguousarray(coeffs[1].real)
+    w_id.flags.writeable = w_dist.flags.writeable = False
+    return w_id, w_dist
 
 
-def _weights(circuit: Circuit):
+def _weights(circuit: Circuit) -> tuple[np.ndarray, np.ndarray]:
     u = np.ascontiguousarray(circuit.u, dtype=np.complex128)
     return _weights_cached(u.shape[0], u.tobytes())
 
 
 def clear_permanent_cache() -> None:
+    """Drop every circuit's weight table (the per-N index plans stay)."""
     _weights_cached.cache_clear()
 
 
-def _stats_factor(stats: Sequence[SourceStats], s: Sequence[int]) -> float:
-    factor = 1.0
-    for stat, si in zip(stats, s):
-        if si == 0:
-            continue
-        if stat.mean_n == 0.0:
-            return 0.0
-        if si > stat.max_order:
+def _pattern_sum(stats: Sequence[SourceStats], weights: np.ndarray) -> float:
+    """sum_k weights[k] prod_i n_i^{s_ki} g_i^(s_ki) over the patterns s.
+
+    A pattern of nonzero weight that needs an order some port does not
+    define is an error, unless that port or a lit port before it has zero
+    mean: ports are examined in order and a dark port ends the term at 0.
+    """
+    n = len(stats)
+    s, take, _ = _expansion_plan(n)
+    table = np.zeros((n, n + 1))
+    for i, stat in enumerate(stats):
+        g = stat.g[: n + 1]
+        table[i, : len(g)] = g
+    means = np.array([stat.mean_n for stat in stats])
+    orders = np.array([stat.max_order for stat in stats])
+    if orders.min() < n:
+        dead = (s > 0) & (means == 0)
+        missing = (s > orders) & ~dead
+        first = (dead | missing).argmax(axis=1)
+        rows = np.arange(len(s))
+        raising = np.flatnonzero(missing[rows, first] & (weights != 0))
+        if raising.size:
+            k = raising[0]
+            i = first[k]
             raise ValueError(
-                f"source statistics defined only to order {stat.max_order}, "
-                f"but g({si}) is required"
+                f"source statistics defined only to order {stats[i].max_order}, "
+                f"but g({s[k, i]}) is required"
             )
-        factor *= stat.mean_n**si * stat.g[si]
-    return factor
+    table *= means[:, None] ** np.arange(n + 1)
+    return float(weights @ table.take(take).prod(axis=1))
 
 
 def _check_ports(circuit: Circuit, ensemble: InputEnsemble) -> None:
@@ -166,23 +224,19 @@ def _as_result(p_raw: float, ensemble: InputEnsemble) -> CoincidenceResult:
 
 def coincidence_id_general(circuit: Circuit, ensemble: InputEnsemble) -> CoincidenceResult:
     """N-fold coincidence for perfectly indistinguishable inputs."""
-    _check_ports(circuit, ensemble)
-    total = 0.0
-    for s, w_id, _ in _weights(circuit):
-        if w_id:
-            total += w_id * _stats_factor(ensemble.stats, s)
-    return _as_result(total, ensemble)
+    return _general(circuit, ensemble, 0)
 
 
 def coincidence_dist_general(circuit: Circuit, ensemble: InputEnsemble) -> CoincidenceResult:
     """N-fold coincidence for completely distinguishable inputs (all
     interferometric cross terms vanish)."""
+    return _general(circuit, ensemble, 1)
+
+
+def _general(circuit: Circuit, ensemble: InputEnsemble, which: int) -> CoincidenceResult:
     _check_ports(circuit, ensemble)
-    total = 0.0
-    for s, _, w_dist in _weights(circuit):
-        if w_dist:
-            total += w_dist * _stats_factor(ensemble.stats, s)
-    return _as_result(total, ensemble)
+    weights = _weights(circuit)[which]
+    return _as_result(_pattern_sum(ensemble.stats, weights), ensemble)
 
 
 # --- explicit 3-port expansion ---------------------------------------------

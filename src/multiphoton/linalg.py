@@ -1,9 +1,10 @@
 """Complex matrix utilities: permanents, column selection, unitarity checks.
 
-The permanent is the bottleneck of every coincidence calculation, so it is
-served by a compiled Gray-code Ryser kernel when the extension built; a
-pure-Python kernel with identical semantics is selected at import
-otherwise (``HAVE_COMPILED_KERNEL`` records which one is active).
+The permanent is served by a compiled Gray-code Ryser kernel when the
+extension built; a pure-Python kernel with identical semantics is selected
+at import otherwise (``HAVE_COMPILED_KERNEL`` records which one is
+active).  The coincidence engines do not call it: their weight tables come
+from a polynomial expansion, so it serves the cross-checks and direct use.
 """
 
 from __future__ import annotations

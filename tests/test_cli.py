@@ -109,6 +109,64 @@ def test_hom_rejects_negative_g2(capsys):
     assert "g2" in err
 
 
+# --- non-finite input and unwritable output ------------------------------------------
+
+@pytest.mark.parametrize("spec", ["nan:1:3", "0:inf:3", "-inf:0:3", "0:1e400:3"])
+def test_parse_grid_rejects_non_finite(spec):
+    with pytest.raises(UsageError, match="finite"):
+        parse_grid_spec(spec)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hom", "--scan-g2", "nan:1:3"],
+        ["sym", "--scan-phi", "0:inf:3"],
+        ["optimize", "--scan-phi", "0:nan:3"],
+    ],
+)
+def test_non_finite_grid_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hom", "--g2", "inf"],
+        ["hom", "--R", "nan", "--g2", "1"],
+        ["optimize", "--phi", "nan"],
+        ["coinc", "--beamsplitter", "inf", "--sources", "laser"],
+        ["coinc", "--symmetric=-inf", "--sources", "laser"],
+    ],
+)
+def test_non_finite_float_flag_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert info.value.code == 2
+    assert captured.out == ""
+    assert "must be finite" in captured.err
+
+
+def test_unwritable_output_is_a_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(capsys, "hom", "--g2", "1", "-o", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write")
+    assert not target.exists()
+
+
+def test_json_emission_refuses_nan(monkeypatch):
+    monkeypatch.setattr(cli, "_optimum_report", lambda phi: {"phi": math.nan})
+    args = cli.build_parser().parse_args(["optimize", "--phi", "1"])
+    with pytest.raises(ValueError):
+        cli.cmd_optimize(args)
+
+
 # --- csv invariants ---------------------------------------------------------------
 
 def rows_self_consistent(rows):

@@ -165,8 +165,12 @@ def test_explicit_rejects_other_sizes():
 
 def test_missing_order_is_reported():
     ens = uniform_ensemble(3, sources.custom_stats(1.0))  # defined to order 2 only
-    with pytest.raises(ValueError, match=r"g\(3\)"):
-        coincidence_id_general(circuits.dft(3), ens)
+    for engine in (coincidence_id_general, coincidence_dist_general):
+        with pytest.raises(ValueError, match=r"g\(3\)") as info:
+            engine(circuits.dft(3), ens)
+        assert str(info.value) == (
+            "source statistics defined only to order 2, but g(3) is required"
+        )
 
 
 # --- invariances ------------------------------------------------------------------

@@ -1,0 +1,220 @@
+"""The per-circuit weight table and the pattern sum of the general engines.
+
+The table comes from one polynomial expansion; these tests hold it to the
+per-pattern Ryser construction it replaced, check exact invariants that
+hold at any port count up to MAX_PORTS, and pin when a missing g^(m)
+order is an error.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from multiphoton import circuits, coincidence, linalg, sources
+from multiphoton.coincidence import (
+    MAX_PORTS,
+    InputEnsemble,
+    coincidence_dist_general,
+    coincidence_id_general,
+    enumerate_exponent_tuples,
+    uniform_ensemble,
+)
+
+TABLE_TOL = 1e-12  # absolute, on |Per/prod s!|^2 and Per(V)/prod s!
+ENGINES = (coincidence_id_general, coincidence_dist_general)
+
+
+def haar(seed, n):
+    rng = np.random.default_rng(seed)
+    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2)
+    q, r = np.linalg.qr(z)
+    d = np.diag(r)
+    return q * (d / np.abs(d))
+
+
+def ryser_table(u):
+    """The table as built before the expansion: one column selection and
+    two Ryser permanents per occupation pattern."""
+    v = linalg.mod_squared(u)
+    w_id, w_dist = [], []
+    for s in enumerate_exponent_tuples(u.shape[0]):
+        d = linalg.mode_assignment(s)
+        norm = math.prod(math.factorial(si) for si in s)
+        w_id.append(abs(linalg.permanent(linalg.column_select(u, d)) / norm) ** 2)
+        w_dist.append(linalg.permanent(linalg.column_select(v, d)).real / norm)
+    return np.array(w_id), np.array(w_dist)
+
+
+def stats_factor(stats, s):
+    """The per-pattern source factor as the engines evaluated it in a loop."""
+    factor = 1.0
+    for stat, si in zip(stats, s):
+        if si == 0:
+            continue
+        if stat.mean_n == 0.0:
+            return 0.0
+        if si > stat.max_order:
+            raise ValueError(
+                f"source statistics defined only to order {stat.max_order}, "
+                f"but g({si}) is required"
+            )
+        factor *= stat.mean_n**si * stat.g[si]
+    return factor
+
+
+def loop_sum(stats, weights, patterns):
+    total = 0.0
+    for s, w in zip(patterns, weights):
+        if w:
+            total += w * stats_factor(stats, s)
+    return total
+
+
+def outcome(fn, *args):
+    """('ok', value) or ('error', message)."""
+    try:
+        return "ok", fn(*args)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+# --- the table against the Ryser reference ------------------------------------
+
+REFERENCE_CIRCUITS = [
+    *[pytest.param(haar(100 + n, n), id=f"haar{n}") for n in range(1, 7)],
+    pytest.param(circuits.dft(7).u, id="dft7"),
+    *[pytest.param(circuits.symmetric(phi).u, id=f"sym{phi:.2f}")
+      for phi in (0.0, 0.7, 2 * math.pi / 3, math.pi)],
+]
+
+
+@pytest.mark.parametrize("u", REFERENCE_CIRCUITS)
+def test_table_matches_ryser_reference(u):
+    w_id, w_dist = coincidence._weights(circuits.custom(u))
+    ref_id, ref_dist = ryser_table(np.asarray(u))
+    assert w_id.shape == w_dist.shape == (len(enumerate_exponent_tuples(u.shape[0])),)
+    assert np.abs(w_id - ref_id).max() <= TABLE_TOL
+    assert np.abs(w_dist - ref_dist).max() <= TABLE_TOL
+
+
+def test_port_count_above_max_rejected():
+    n = MAX_PORTS + 1
+    ens = uniform_ensemble(n, sources.laser_stats(n))
+    for engine in ENGINES:
+        with pytest.raises(ValueError, match="port count"):
+            engine(circuits.dft(n), ens)
+
+
+def test_table_is_read_only():
+    w_id, w_dist = coincidence._weights(circuits.dft(3))
+    with pytest.raises(ValueError):
+        w_id[0] = 1.0
+    with pytest.raises(ValueError):
+        w_dist[0] = 1.0
+
+
+# --- exact invariants at any N --------------------------------------------------
+
+@given(st.integers(2, MAX_PORTS), st.integers(0, 2**32 - 1))
+@settings(max_examples=30)
+def test_uniform_thermal_and_laser_invariants(n, seed):
+    circuit = circuits.custom(haar(seed, n))
+    thermal = uniform_ensemble(n, sources.thermal_stats(n))
+    laser = uniform_ensemble(n, sources.laser_stats(n))
+    assert abs(coincidence_id_general(circuit, thermal).p_normalized - 1) <= 1e-10
+    assert abs(coincidence_dist_general(circuit, laser).p_normalized - 1) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_zero_transmission_law_even_dft(n):
+    # Per(DFT_N) = 0 for even N: one photon per input never exits one per output
+    w_id, _ = coincidence._weights(circuits.dft(n))
+    all_ones = enumerate_exponent_tuples(n).index((1,) * n)
+    assert w_id[all_ones] < 1e-24
+
+
+@pytest.mark.parametrize("n", range(2, MAX_PORTS + 1))
+def test_distinguishable_single_photons_on_dft(n):
+    # Per(J/N) = N!/N^N
+    ens = uniform_ensemble(n, sources.fock_stats(1, n))
+    p_dist = coincidence_dist_general(circuits.dft(n), ens).p_normalized
+    assert p_dist == pytest.approx(math.factorial(n) / n**n, rel=1e-12)
+
+
+# --- missing g^(m) orders -----------------------------------------------------------
+
+def _blocked(first_port_always_lit):
+    """A 3-port circuit in which one input port is lit in every pattern of
+    nonzero weight: the polynomial is (a x1 + b x2)(c x1 + d x2) x0, or the
+    same with the roles of x0 and x2 exchanged."""
+    bs = circuits.beamsplitter(0.3).u
+    u = np.zeros((3, 3), dtype=complex)
+    if first_port_always_lit:
+        u[:2, 1:] = bs
+        u[2, 0] = 1
+    else:
+        u[:2, :2] = bs
+        u[2, 2] = 1
+    return circuits.custom(u)
+
+
+VACUUM = sources.SourceStats(0.0, (1.0, 1.0, 0.0, 0.0))
+SHORT = sources.SourceStats(1.0, (1.0, 1.0))  # defined to order 1 only
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_zero_mean_port_before_missing_order_gives_zero(engine):
+    # every pattern lights the dark port 0 before the short port 1
+    ens = InputEnsemble(stats=(VACUUM, SHORT, sources.laser_stats()))
+    result = engine(_blocked(True), ens)
+    assert result.p_raw == 0.0
+    assert math.isnan(result.p_normalized)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_zero_mean_port_after_missing_order_raises(engine):
+    # the same experiment relabelled: the dark port is now examined last
+    ens = InputEnsemble(stats=(sources.laser_stats(), SHORT, VACUUM))
+    with pytest.raises(ValueError, match=r"order 1, but g\(2\)"):
+        engine(_blocked(False), ens)
+
+
+def test_zero_mean_port_with_missing_order_gives_zero():
+    dark_short = sources.SourceStats(0.0, (1.0, 1.0))
+    ens = uniform_ensemble(3, dark_short)
+    for engine in ENGINES:
+        assert engine(circuits.dft(3), ens).p_raw == 0.0
+
+
+def _random_stats(rng, n):
+    mean = 0.0 if rng.random() < 0.3 else float(rng.uniform(0.1, 3.0))
+    order = int(rng.integers(1, n + 2))
+    return sources.SourceStats(mean, (1.0, 1.0, *rng.uniform(0, 5, order - 1).tolist()))
+
+
+@given(st.integers(2, 4), st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=60)
+def test_engines_match_loop_reference(n, seed, blocked):
+    """Same value (or the same error) as the per-pattern loop over the Ryser
+    table, for ensembles with dark ports and short g sequences."""
+    rng = np.random.default_rng(seed)
+    u = haar(seed, n)
+    if blocked:  # exact zeros: port n-1 passes straight through, permuted
+        u = np.zeros((n, n), dtype=complex)
+        u[: n - 1, : n - 1] = haar(seed, n - 1)
+        u[n - 1, n - 1] = 1
+        u = u[rng.permutation(n)][:, rng.permutation(n)]
+    circuit = circuits.custom(u)
+    ens = InputEnsemble(stats=tuple(_random_stats(rng, n) for _ in range(n)))
+    patterns = enumerate_exponent_tuples(n)
+    for engine, ref_weights in zip(ENGINES, ryser_table(u)):
+        got = outcome(lambda: engine(circuit, ens).p_raw)
+        want = outcome(loop_sum, ens.stats, ref_weights, patterns)
+        assert got[0] == want[0]
+        if got[0] == "error":
+            assert got[1] == want[1]
+        else:
+            assert got[1] == pytest.approx(want[1], rel=1e-12, abs=1e-14)
