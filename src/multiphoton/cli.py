@@ -3,7 +3,8 @@
 Emits figure-level data as CSV (one header row, 17-significant-digit
 floats, deterministic byte-for-byte for fixed flags) and optimizer /
 verification reports as JSON.  Exit codes: 0 success, 1 verification
-failure, 2 usage error.
+failure, 2 usage error, 141 (128 + SIGPIPE) when the reader of stdout
+closes the pipe early.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -27,6 +29,12 @@ from multiphoton.optimize import (
     scan_phase,
     standard_sources,
 )
+
+
+# Largest accepted grid count; the documented figures use at most 401.
+MAX_GRID_POINTS = 100_000
+# Exit status of a process killed by SIGPIPE, as shells report it.
+BROKEN_PIPE_EXIT = 141
 
 
 class UsageError(ValueError):
@@ -57,6 +65,8 @@ def parse_grid_spec(text: str, minimum: int = 2) -> np.ndarray:
         raise UsageError(f"grid endpoints must be finite, got {text!r}")
     if count < minimum:
         raise UsageError(f"grid needs at least {minimum} points, got {count}")
+    if count > MAX_GRID_POINTS:
+        raise UsageError(f"grid allows at most {MAX_GRID_POINTS} points, got {count}")
     if hi <= lo:
         raise UsageError(f"grid needs stop > start, got {text!r}")
     return np.linspace(lo, hi, count)
@@ -555,10 +565,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
     except ValueError as exc:  # UsageError and flag-value validation errors
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # e.g. `multiphoton verify | head -1`
+        # Send what is still buffered to devnull, so the flush at exit
+        # cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE_EXIT
 
 
 if __name__ == "__main__":

@@ -132,6 +132,24 @@ def test_non_finite_grid_is_a_usage_error(capsys, argv):
     assert "finite" in err
 
 
+def test_parse_grid_accepts_the_largest_count():
+    assert len(parse_grid_spec(f"0:1:{cli.MAX_GRID_POINTS}")) == cli.MAX_GRID_POINTS
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sym", "--scan-phi", "0:1:100000000000"],
+        ["hom", "--scan-g2", f"0:6:{cli.MAX_GRID_POINTS + 1}"],
+    ],
+)
+def test_oversized_grid_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"at most {cli.MAX_GRID_POINTS} points" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -366,3 +384,18 @@ def test_console_entry_point():
     assert result.returncode == 0
     assert result.stdout.splitlines()[0] == "param,g2,p_id,p_dist,v"
     assert result.stdout.splitlines()[1].endswith(",1")  # v = 1 at g2 = 0
+
+
+def test_closed_pipe_is_not_a_traceback():
+    # -u writes each verify line as it is printed, so the lines after the
+    # first meet a pipe whose read end is already closed
+    with subprocess.Popen(
+        [sys.executable, "-u", "-m", "multiphoton.cli", "verify", "--seed", "0"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.readline().startswith(b"ok ")
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert b"Traceback" not in err
+    assert proc.returncode in (0, cli.BROKEN_PIPE_EXIT)  # 0 only if it finished first
