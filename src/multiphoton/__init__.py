@@ -49,6 +49,7 @@ from multiphoton.visibility import (
     v3_gaussian_bound,
     v3_mixture,
     visibility,
+    visibility_of,
 )
 
 __version__ = "0.1.0"
@@ -95,4 +96,5 @@ __all__ = [
     "v3_mixture",
     "vac12_mixture_stats",
     "visibility",
+    "visibility_of",
 ]

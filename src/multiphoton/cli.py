@@ -10,6 +10,7 @@ closes the pipe early.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -17,7 +18,7 @@ import sys
 
 import numpy as np
 
-from multiphoton import circuits, coincidence, fockspace, linalg, sources, visibility
+from multiphoton import circuits, coincidence, fockspace, linalg, sources
 from multiphoton.optimize import (
     OPTIMAL_NOISE_P,
     ScanResult,
@@ -29,6 +30,7 @@ from multiphoton.optimize import (
     scan_phase,
     standard_sources,
 )
+from multiphoton.visibility import visibility, visibility_of
 
 
 # Largest accepted grid count; the documented figures use at most 401.
@@ -69,6 +71,8 @@ def parse_grid_spec(text: str, minimum: int = 2) -> np.ndarray:
         raise UsageError(f"grid allows at most {MAX_GRID_POINTS} points, got {count}")
     if hi <= lo:
         raise UsageError(f"grid needs stop > start, got {text!r}")
+    if not math.isfinite(hi - lo):
+        raise UsageError(f"grid span stop - start overflows, got {text!r}")
     return np.linspace(lo, hi, count)
 
 
@@ -94,7 +98,7 @@ def parse_source_spec(text: str, max_order: int = 3) -> tuple[str, sources.Sourc
             p, q = (float(x) for x in text[6:].split(","))
             return text, sources.vac12_mixture_stats(p, q, max_order)
         if text.startswith("custom:"):
-            fields = dict(item.split("=") for item in text[7:].split(","))
+            fields = dict(item.strip().split("=") for item in text[7:].split(","))
             g2 = float(fields.pop("g2"))
             g3 = float(fields.pop("g3")) if "g3" in fields else None
             if fields:
@@ -107,8 +111,19 @@ def parse_source_spec(text: str, max_order: int = 3) -> tuple[str, sources.Sourc
     raise UsageError(f"unknown source spec {text!r}")
 
 
+SOURCE_HEADS = ("fock:", "laser", "thermal", "diluted:", "noise-opt", "vac12:", "custom:")
+
+
 def parse_source_list(text: str, max_order: int = 3):
-    return [parse_source_spec(item, max_order) for item in text.split(",") if item]
+    """Parse comma-separated source specs.  A piece that does not start with one
+    of SOURCE_HEADS continues the spec before it, as in vac12:<p>,<q>."""
+    specs: list[str] = []
+    for piece in filter(None, text.split(",")):
+        if specs and not piece.strip().startswith(SOURCE_HEADS):
+            specs[-1] += "," + piece
+        else:
+            specs.append(piece)
+    return [parse_source_spec(spec, max_order) for spec in specs]
 
 
 def load_circuit_json(path: str) -> circuits.Circuit:
@@ -132,6 +147,11 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _csv_field(text: str) -> str:
+    """Quote a label that holds a comma or a quote, as RFC 4180 does."""
+    return '"' + text.replace('"', '""') + '"' if "," in text or '"' in text else text
+
+
 def _emit(lines: list[str], output: str | None) -> None:
     text = "\n".join(lines) + "\n"
     if output:
@@ -147,10 +167,8 @@ def _emit(lines: list[str], output: str | None) -> None:
 def _scan_csv(results: list[ScanResult], param_name: str) -> list[str]:
     lines = [f"label,{param_name},p_id,p_dist,v"]
     for result in results:
-        for param, p_id, p_dist, v in result.rows:
-            lines.append(
-                f"{result.label},{_fmt(param)},{_fmt(p_id)},{_fmt(p_dist)},{_fmt(v)}"
-            )
+        label = _csv_field(result.label)
+        lines += [",".join([label, *map(_fmt, row)]) for row in result.rows]
     return lines
 
 
@@ -169,13 +187,10 @@ def cmd_hom(args) -> int:
     if not 0 <= args.R <= 1:
         raise UsageError(f"--R must be in [0, 1], got {args.R}")
 
+    point = visibility_of(coincidence.coincidence_hom, args.R, grid)
     lines = ["param,g2,p_id,p_dist,v"]
-    for g2 in grid:
-        g2 = float(g2)
-        p_id = coincidence.coincidence_hom(args.R, g2, indistinguishable=True)
-        p_dist = coincidence.coincidence_hom(args.R, g2, indistinguishable=False)
-        v = 1 - p_id / p_dist
-        lines.append(f"{_fmt(g2)},{_fmt(g2)},{_fmt(p_id)},{_fmt(p_dist)},{_fmt(v)}")
+    for g2, *values in zip(grid, point.p_id, point.p_dist, point.v):
+        lines.append(",".join(map(_fmt, (g2, g2, *values))))
     _emit(lines, args.output)
     return 0
 
@@ -189,17 +204,8 @@ def cmd_dft_vis(args) -> int:
 
 def cmd_mismatch(args) -> int:
     grid = parse_grid_spec(args.scan_xi)
-    if not (0 <= grid[0] and grid[-1] <= 2):
-        raise UsageError("xi grid must stay within [0, 2]")
     srcs = parse_source_list(args.sources)
-    results = []
-    for label, stats in srcs:
-        p_dist = coincidence.coincidence_dft3(stats.g2, stats.g3, indistinguishable=False)
-        rows = []
-        for xi in grid:
-            p_xi = coincidence.coincidence_mismatch_n3(stats.g2, stats.g3, float(xi))
-            rows.append((float(xi), p_xi, p_dist, 1 - p_xi / p_dist))
-        results.append(ScanResult("xi", label, rows))
+    results = scan_overlap(srcs, len(grid), float(grid[0]), float(grid[-1]))
     _emit(_scan_csv(results, "xi"), args.output)
     return 0
 
@@ -224,19 +230,16 @@ def cmd_coinc(args) -> int:
         )
     ensemble = coincidence.InputEnsemble(stats=tuple(s for _, s in srcs))
     try:
-        res_id = coincidence.coincidence_id_general(circuit, ensemble)
-        res_dist = coincidence.coincidence_dist_general(circuit, ensemble)
+        point = visibility(
+            coincidence.coincidence_id_general(circuit, ensemble).p_normalized,
+            coincidence.coincidence_dist_general(circuit, ensemble).p_normalized,
+        )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    v = 1 - res_id.p_normalized / res_dist.p_normalized
     names = [name for name, _ in srcs]
     label = names[0] if len(set(names)) == 1 else "+".join(names)
-    lines = [
-        "label,n,p_id,p_dist,v",
-        f"{label},{circuit.n},{_fmt(res_id.p_normalized)},"
-        f"{_fmt(res_dist.p_normalized)},{_fmt(v)}",
-    ]
-    _emit(lines, args.output)
+    values = ",".join(map(_fmt, (point.p_id, point.p_dist, point.v)))
+    _emit(["label,n,p_id,p_dist,v", f"{_csv_field(label)},{circuit.n},{values}"], args.output)
     return 0
 
 
@@ -278,9 +281,7 @@ def _optimum_report(phi: float) -> dict:
             "n_worst": fock.n_worst,
             "v_worst": fock.v_worst,
         },
-        "v_laser": 1
-        - coincidence.coincidence_sym_phase(phi, 1, 1, True)
-        / coincidence.coincidence_sym_phase(phi, 1, 1, False),
+        "v_laser": visibility_of(coincidence.coincidence_sym_phase, phi, 1, 1).v,
     }
 
 
@@ -376,23 +377,14 @@ def _verification_checks(seed: int):
         return worst < 1e-12, f"max relative gap {worst:.2e}"
 
     def mismatch_joint_and_endpoints():
-        worst = 0.0
-        for g2 in np.linspace(0, 4, 5):
-            for g3 in np.linspace(0, 9, 5):
-                lo = coincidence.coincidence_mismatch_n3(float(g2), float(g3), 1.0)
-                hi = coincidence.coincidence_mismatch_n3(float(g2), float(g3), 1.0 + 1e-15)
-                worst = max(worst, abs(lo - hi))
-                worst = max(
-                    worst,
-                    abs(
-                        coincidence.coincidence_mismatch_n3(float(g2), float(g3), 0.0)
-                        - coincidence.coincidence_dft3(float(g2), float(g3), False)
-                    ),
-                    abs(
-                        coincidence.coincidence_mismatch_n3(float(g2), float(g3), 2.0)
-                        - coincidence.coincidence_dft3(float(g2), float(g3), True)
-                    ),
-                )
+        g2, g3 = np.meshgrid(np.linspace(0, 4, 5), np.linspace(0, 9, 5))
+        mismatch = functools.partial(coincidence.coincidence_mismatch_n3, g2, g3)
+        gaps = [
+            mismatch(1.0) - mismatch(1.0 + 1e-15),
+            mismatch(0.0) - coincidence.coincidence_dft3(g2, g3, False),
+            mismatch(2.0) - coincidence.coincidence_dft3(g2, g3, True),
+        ]
+        worst = float(np.abs(gaps).max())
         return worst < 1e-12, f"max gap {worst:.2e}"
 
     def symmetric_matches_balanced():

@@ -315,32 +315,45 @@ def coincidence_n3_explicit(
 
 
 # --- closed forms ----------------------------------------------------------
+# Each closed form broadcasts over numpy arrays of its parameters and gives
+# a float for floats.  Only an array phi goes through numpy's cos and
+# complex powers; any other call makes the same IEEE operations per element.
 
-def coincidence_hom(r: float, g2: float, indistinguishable: bool = True) -> float:
+def _check_autocorrelations(g2, g3) -> None:
+    """Reject a negative g2 or g3, or any negative entry of an array.  The
+    type test only picks the quicker path: np.less takes any argument."""
+    if type(g2) is float and type(g3) is float:
+        negative = g2 < 0 or g3 < 0
+    else:
+        negative = np.any(np.less(g2, 0)) or np.any(np.less(g3, 0))
+    if negative:
+        raise ValueError("autocorrelations must be >= 0")
+
+
+def coincidence_hom(r: float, g2, indistinguishable: bool = True):
     """Normalized two-fold coincidence on a beamsplitter of reflectance R:
     1 - 2RT(2 - g2) for indistinguishable inputs, 1 - 2RT(1 - g2) for
     distinguishable ones."""
     if not 0 <= r <= 1:
         raise ValueError(f"reflectance must be in [0, 1], got {r}")
-    if g2 < 0:
+    if np.any(np.less(g2, 0)):
         raise ValueError(f"g2 must be >= 0, got {g2}")
     rt2 = 2 * r * (1 - r)
     return 1 - rt2 * (2 - g2) if indistinguishable else 1 - rt2 * (1 - g2)
 
 
-def coincidence_dft3(g2: float, g3: float, indistinguishable: bool = True) -> float:
+def coincidence_dft3(g2, g3, indistinguishable: bool = True):
     """Normalized three-fold coincidence on the balanced 3-port for
     symmetric inputs: g3/9 + 1/3, or g3/9 + 2*g2/3 + 2/9 when the inputs
     are distinguishable (the g2 interference terms vanish only in the
-    indistinguishable case)."""
-    if g2 < 0 or g3 < 0:
-        raise ValueError("autocorrelations must be >= 0")
+    indistinguishable case, so that result does not take g2's shape)."""
+    _check_autocorrelations(g2, g3)
     if indistinguishable:
         return g3 / 9 + 1 / 3
     return g3 / 9 + 2 * g2 / 3 + 2 / 9
 
 
-def coincidence_mismatch_n3(g2: float, g3: float, xi: float) -> float:
+def coincidence_mismatch_n3(g2, g3, xi):
     """Normalized three-fold coincidence on the balanced 3-port along the
     sequential-alignment path of :class:`OverlapConfig`.
 
@@ -350,19 +363,21 @@ def coincidence_mismatch_n3(g2: float, g3: float, xi: float) -> float:
     reduce to the fully distinguishable / fully indistinguishable values
     at xi = 0 and xi = 2.
     """
-    if g2 < 0 or g3 < 0:
-        raise ValueError("autocorrelations must be >= 0")
-    m12, m23, m31 = OverlapConfig(xi).overlaps
-    if xi <= 1:
-        m = m23
-        return g3 / 9 + 2 * (3 - m) * g2 / 9 + (2 - m) / 9
-    m = m12
-    return g3 / 9 + 4 * (1 - m) * g2 / 9 + (1 + 2 * m) / 9
+    _check_autocorrelations(g2, g3)
+    xi = np.asarray(xi, dtype=float)
+    if not np.all((0 <= xi) & (xi <= 2)):
+        raise ValueError(f"overlap parameter must be in [0, 2], got {xi}")
+    first_leg = xi <= 1
+    m = np.where(first_leg, xi, xi - 1)  # M23 on the first leg, M12 = M31 on the second
+    p = np.where(
+        first_leg,
+        g3 / 9 + 2 * (3 - m) * g2 / 9 + (2 - m) / 9,
+        g3 / 9 + 4 * (1 - m) * g2 / 9 + (1 + 2 * m) / 9,
+    )
+    return p if p.ndim else float(p)
 
 
-def coincidence_sym_phase(
-    phi: float, g2: float, g3: float, indistinguishable: bool = True
-) -> float:
+def coincidence_sym_phase(phi, g2, g3, indistinguishable: bool = True):
     """Normalized three-fold coincidence on the symmetric 3-port.
 
     Closed form in alpha = (2 + e^{i phi})/3, beta = (-1 + e^{i phi})/3:
@@ -374,9 +389,11 @@ def coincidence_sym_phase(
 
     Must agree with the general engines applied to the same circuit.
     """
-    if g2 < 0 or g3 < 0:
-        raise ValueError("autocorrelations must be >= 0")
-    e = complex(math.cos(phi), math.sin(phi))
+    _check_autocorrelations(g2, g3)
+    if isinstance(phi, (float, int)):
+        e = complex(math.cos(phi), math.sin(phi))
+    else:
+        e = np.cos(phi) + 1j * np.sin(phi)
     a = (2 + e) / 3
     b = (-1 + e) / 3
     aa = abs(a) ** 2

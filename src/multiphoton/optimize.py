@@ -29,6 +29,7 @@ from multiphoton.sources import (
     laser_stats,
     thermal_stats,
 )
+from multiphoton.visibility import VisibilityPoint, visibility, visibility_of
 
 # Dilution that maximizes the classical-noise visibility on the balanced
 # 3-port: g2 = 1/p = (1 + sqrt(109))/6.
@@ -105,10 +106,10 @@ def golden_section_max(
     return x, f(x), iterations
 
 
-def _vis_sym(phi: float, g2: float, g3: float) -> float:
-    p_id = coincidence_sym_phase(phi, g2, g3, indistinguishable=True)
-    p_dist = coincidence_sym_phase(phi, g2, g3, indistinguishable=False)
-    return 1 - p_id / p_dist
+def _curve(parameter: str, label: str, grid, point: VisibilityPoint) -> ScanResult:
+    """One row per grid value; a scalar grid gives a single row."""
+    columns = (grid, point.p_id, point.p_dist, point.v)
+    return ScanResult(parameter, label, list(zip(*(np.atleast_1d(c).tolist() for c in columns))))
 
 
 def maximize_classical(
@@ -126,11 +127,11 @@ def maximize_classical(
     (e.g. the identity circuit) reports the lower boundary.
     """
 
-    def objective(g2: float) -> float:
-        return _vis_sym(phi, g2, g2 * g2)
+    def objective(g2):  # a float or an array of them
+        return visibility_of(coincidence_sym_phase, phi, g2, g2 * g2).v
 
     xs = np.logspace(math.log10(g2_lo), math.log10(g2_hi), coarse_points)
-    vals = np.array([objective(x) for x in xs])
+    vals = objective(xs)
     if vals.max() - vals.min() < 1e-14:
         return OptimumReport(
             argmax=g2_lo, value=float(vals[0]), bracket=(g2_lo, g2_lo), iterations=0
@@ -142,21 +143,10 @@ def maximize_classical(
     return OptimumReport(argmax=x, value=fx, bracket=(lo, hi), iterations=iterations)
 
 
-def _fock_vis_array(phi: float, ns: np.ndarray) -> np.ndarray:
+def _fock_visibility(phi, ns: np.ndarray) -> np.ndarray:
+    """Symmetric-circuit visibility of n-photon inputs; phi broadcasts against ns."""
     g2 = 1 - 1 / ns
-    g3 = g2 * (1 - 2 / ns)
-    e = complex(math.cos(phi), math.sin(phi))
-    a = (2 + e) / 3
-    b = (-1 + e) / 3
-    aa, bb = abs(a) ** 2, abs(b) ** 2
-    third = 3 * aa * bb**2
-    p_id = third * g3 + 6 * bb * abs(a**2 + a * b + b**2) ** 2 * g2 + abs(
-        a**3 + 3 * a * b**2 + 2 * b**3
-    ) ** 2
-    p_dist = third * g3 + 6 * bb * (aa**2 + aa * bb + bb**2) * g2 + (
-        aa**3 + 3 * aa * bb**2 + 2 * bb**3
-    )
-    return 1 - p_id / p_dist
+    return visibility_of(coincidence_sym_phase, phi, g2, g2 * (1 - 2 / ns)).v
 
 
 def best_fock(phi: float, n_max: int = 1000) -> FockOptimumReport:
@@ -169,7 +159,7 @@ def best_fock(phi: float, n_max: int = 1000) -> FockOptimumReport:
     if not 1 <= n_max <= 10**6:
         raise ValueError(f"n_max must be in 1..10^6, got {n_max}")
     ns = np.arange(1, n_max + 1, dtype=float)
-    vs = _fock_vis_array(phi, ns)
+    vs = _fock_visibility(phi, ns)
     i_best = int(np.argmax(vs))
     i_worst = int(np.argmin(vs))
     i_abs = int(np.argmax(np.abs(vs)))
@@ -209,12 +199,6 @@ def dft_point_sources() -> list[tuple[str, SourceStats]]:
     ]
 
 
-def _dft_rows(g2: float, g3: float) -> tuple[float, float, float]:
-    p_id = coincidence_dft3(g2, g3, indistinguishable=True)
-    p_dist = coincidence_dft3(g2, g3, indistinguishable=False)
-    return p_id, p_dist, 1 - p_id / p_dist
-
-
 def scan_g2_dft(
     g2_lo: float = 0.0,
     g2_hi: float = 6.0,
@@ -232,30 +216,25 @@ def scan_g2_dft(
     if count < 2:
         raise ValueError("grid must have at least 2 points")
     grid = np.linspace(g2_lo, g2_hi, count)
-
-    classical = ScanResult("g2", "classical-bound", [])
-    gaussian = ScanResult("g2", "gaussian-bound", [])
-    hom_ref = ScanResult("g2", "hom-reference", [])
-    for g2 in grid:
-        g2 = float(g2)
-        classical.rows.append((g2, *_dft_rows(g2, g2 * g2)))
-        gaussian.rows.append((g2, *_dft_rows(g2, (2 - 3 * math.sqrt(g2)) ** 2)))
-        p_id = coincidence_hom(0.5, g2, indistinguishable=True)
-        p_dist = coincidence_hom(0.5, g2, indistinguishable=False)
-        hom_ref.rows.append((g2, p_id, p_dist, 1 - p_id / p_dist))
-
-    results = [classical, gaussian, hom_ref]
+    gaussian_g3 = (2 - 3 * np.sqrt(grid)) ** 2
+    results = [
+        _curve("g2", "classical-bound", grid, visibility_of(coincidence_dft3, grid, grid * grid)),
+        _curve("g2", "gaussian-bound", grid, visibility_of(coincidence_dft3, grid, gaussian_g3)),
+        _curve("g2", "hom-reference", grid, visibility_of(coincidence_hom, 0.5, grid)),
+    ]
     for label, stats in points if points is not None else dft_point_sources():
-        p_id, p_dist, v = _dft_rows(stats.g2, stats.g3)
-        results.append(ScanResult("g2", label, [(stats.g2, p_id, p_dist, v)]))
+        point = visibility_of(coincidence_dft3, stats.g2, stats.g3)
+        results.append(_curve("g2", label, stats.g2, point))
     return results
 
 
 def scan_overlap(
     sources: Sequence[tuple[str, SourceStats]] | None = None,
     count: int = 201,
+    xi_lo: float = 0.0,
+    xi_hi: float = 2.0,
 ) -> list[ScanResult]:
-    """Visibility along the sequential mode-overlap path xi in [0, 2].
+    """Visibility along the sequential mode-overlap path, xi_lo..xi_hi in [0, 2].
 
     The visibility uses the xi-dependent coincidence against the fixed
     fully-distinguishable denominator, so every curve starts at 0 and
@@ -263,16 +242,14 @@ def scan_overlap(
     """
     if count < 2:
         raise ValueError("grid must have at least 2 points")
-    grid = np.linspace(0.0, 2.0, count)
+    if not 0 <= xi_lo <= xi_hi <= 2:
+        raise ValueError("xi grid must stay within [0, 2]")
+    grid = np.linspace(xi_lo, xi_hi, count)
     results = []
     for label, stats in sources if sources is not None else standard_sources():
-        g2, g3 = stats.g2, stats.g3
-        p_dist = coincidence_dft3(g2, g3, indistinguishable=False)
-        rows = []
-        for xi in grid:
-            p_xi = coincidence_mismatch_n3(g2, g3, float(xi))
-            rows.append((float(xi), p_xi, p_dist, 1 - p_xi / p_dist))
-        results.append(ScanResult("xi", label, rows))
+        p_dist = coincidence_dft3(stats.g2, stats.g3, indistinguishable=False)
+        point = visibility(coincidence_mismatch_n3(stats.g2, stats.g3, grid), p_dist)
+        results.append(_curve("xi", label, grid, point))
     return results
 
 
@@ -287,17 +264,10 @@ def scan_phase(
     if count < 2:
         raise ValueError("grid must have at least 2 points")
     grid = np.linspace(phi_lo, phi_hi, count)
-    results = []
-    for label, stats in sources if sources is not None else standard_sources():
-        g2, g3 = stats.g2, stats.g3
-        rows = []
-        for phi in grid:
-            phi = float(phi)
-            p_id = coincidence_sym_phase(phi, g2, g3, indistinguishable=True)
-            p_dist = coincidence_sym_phase(phi, g2, g3, indistinguishable=False)
-            rows.append((phi, p_id, p_dist, 1 - p_id / p_dist))
-        results.append(ScanResult("phi", label, rows))
-    return results
+    return [
+        _curve("phi", label, grid, visibility_of(coincidence_sym_phase, grid, stats.g2, stats.g3))
+        for label, stats in (sources if sources is not None else standard_sources())
+    ]
 
 
 def crossover_window(
@@ -325,19 +295,14 @@ def crossover_window(
         raise ValueError("need at least one Fock photon number n >= 3")
 
     count = max(2, int(round((phi_hi - phi_lo) / step)) + 1)
-    rows = []
-    in_window = []
-    for phi in np.linspace(phi_lo, phi_hi, count):
-        phi = float(phi)
-        v_laser = _vis_sym(phi, 1.0, 1.0)
-        fock_vs = _fock_vis_array(phi, ns)
-        i = int(np.argmax(fock_vs))
-        fock_margin = float(fock_vs[i]) - v_laser
-        noise_margin = _vis_sym(phi, g2_fixed, g2_fixed**2) - v_laser
-        rows.append((phi, fock_margin, noise_margin, int(ns[i])))
-        if fock_margin > 0 and noise_margin > 0:
-            in_window.append(phi)
-
+    phis = np.linspace(phi_lo, phi_hi, count)
+    v_laser = visibility_of(coincidence_sym_phase, phis, 1.0, 1.0).v
+    fock_vs = _fock_visibility(phis[:, None], ns)  # one row per phase
+    fock_margin = fock_vs.max(axis=1) - v_laser
+    noise_margin = visibility_of(coincidence_sym_phase, phis, g2_fixed, g2_fixed**2).v - v_laser
+    n_best = ns[fock_vs.argmax(axis=1)].astype(int)
+    rows = list(zip(*(x.tolist() for x in (phis, fock_margin, noise_margin, n_best))))
+    in_window = phis[(fock_margin > 0) & (noise_margin > 0)].tolist()
     window = (min(in_window), max(in_window)) if in_window else None
     return CrossoverReport(
         anchor_phi=anchor_phi, g2_fixed=float(g2_fixed), rows=rows, window=window

@@ -44,11 +44,17 @@ class SourceStats:
 
     @property
     def g2(self) -> float:
-        return self.g[2]
+        return self._order(2)
 
     @property
     def g3(self) -> float:
-        return self.g[3]
+        return self._order(3)
+
+    def _order(self, m: int) -> float:
+        if m > self.max_order:
+            raise ValueError(f"source statistics defined only to order "
+                             f"{self.max_order}, but g({m}) is required")
+        return self.g[m]
 
 
 @dataclass(frozen=True)

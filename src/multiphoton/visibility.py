@@ -11,28 +11,44 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
 
 EPS_DENOMINATOR = 1e-12
 
 
 @dataclass(frozen=True)
 class VisibilityPoint:
-    """A visibility together with the probabilities it was formed from."""
+    """A visibility together with the probabilities it was formed from:
+    floats, or arrays of one broadcast shape."""
 
-    v: float
-    p_id: float
-    p_dist: float
+    v: float | np.ndarray
+    p_id: float | np.ndarray
+    p_dist: float | np.ndarray
 
 
-def visibility(p_id: float, p_dist: float) -> VisibilityPoint:
-    """V = 1 - p_id / p_dist.  Raises when the denominator is degenerate
+def visibility(p_id, p_dist) -> VisibilityPoint:
+    """V = 1 - p_id / p_dist: floats for floats, else arrays of the
+    broadcast shape.  Raises when a denominator is NaN or <= EPS_DENOMINATOR
     (every valid configuration here has p_dist of order 1)."""
-    if p_dist <= EPS_DENOMINATOR:
+    if isinstance(p_id, (float, int)) and isinstance(p_dist, (float, int)):
+        worst = p_dist
+    else:
+        p_id, p_dist = np.broadcast_arrays(np.asarray(p_id, float), np.asarray(p_dist, float))
+        worst = float(p_dist.min())  # NaN if any entry is NaN
+    if not worst > EPS_DENOMINATOR:
         raise ValueError(
-            f"degenerate distinguishable probability {p_dist!r}; "
-            "cannot form a visibility"
+            f"degenerate distinguishable probability {worst!r}; cannot form a visibility"
         )
     return VisibilityPoint(v=1 - p_id / p_dist, p_id=p_id, p_dist=p_dist)
+
+
+def visibility_of(closed_form: Callable, *args) -> VisibilityPoint:
+    """visibility() of a closed form (one that takes ``indistinguishable``)
+    at the same arguments; broadcasts like the closed form."""
+    p_id = closed_form(*args, indistinguishable=True)
+    return visibility(p_id, closed_form(*args, indistinguishable=False))
 
 
 def v2_closed(r: float, g2: float) -> float:

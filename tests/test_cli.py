@@ -59,6 +59,40 @@ def test_parse_source_rejects_malformed(bad):
         parse_source_spec(bad)
 
 
+@pytest.mark.parametrize("command", ["sym", "mismatch"])
+def test_source_without_g3_is_a_usage_error(capsys, command):
+    code, out, err = run_cli(capsys, command, "--sources", "custom:g2=2")
+    assert code == 2
+    assert out == ""
+    assert "g(3) is required" in err
+
+
+def test_source_list_keeps_commas_inside_specs(capsys):
+    specs = cli.parse_source_list("vac12:0.2,0.5,laser,custom:g2=2, g3=6,fock:2")
+    assert [label for label, _ in specs] == ["vac12:0.2,0.5", "laser", "custom:g2=2, g3=6", "fock:2"]
+    assert specs[2][1].g3 == 6.0
+    code, out, _ = run_cli(capsys, "sym", "--sources", "vac12:0.2,0.5,laser", "--scan-phi", "0:1:3")
+    assert code == 0
+    rows = read_csv(out)
+    assert [row["label"] for row in rows] == ["vac12:0.2,0.5"] * 3 + ["laser"] * 3
+    rows_self_consistent(rows)
+
+
+def test_coinc_custom_source_with_g3(capsys):
+    code, out, _ = run_cli(capsys, "coinc", "--dft", "3", "--sources", "custom:g2=2,g3=6")
+    assert code == 0
+    row = read_csv(out)[0]
+    assert row["label"] == "custom:g2=2,g3=6"
+    assert float(row["v"]) == pytest.approx(11 / 20, abs=1e-12)  # thermal statistics
+
+
+def test_mismatch_grid_outside_the_path_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "mismatch", "--scan-xi", "0:2.5:11")
+    assert code == 2
+    assert out == ""
+    assert "within [0, 2]" in err
+
+
 # --- hom -------------------------------------------------------------------------
 
 def test_hom_single_point(capsys):
@@ -130,6 +164,13 @@ def test_non_finite_grid_is_a_usage_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert "finite" in err
+
+
+def test_overflowing_grid_span_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "sym", "--sources", "laser", "--scan-phi=-1.7e308:1.7e308:3")
+    assert code == 2
+    assert out == ""
+    assert "overflows" in err
 
 
 def test_parse_grid_accepts_the_largest_count():

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -264,8 +265,9 @@ def test_mismatch_thermal_joint_value():
 
 
 def test_mismatch_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        coincidence_mismatch_n3(1.0, 1.0, 2.5)
+    for xi in (2.5, np.array([0.5, 2.5]), np.array([0.5, np.nan])):
+        with pytest.raises(ValueError):
+            coincidence_mismatch_n3(1.0, 1.0, xi)
 
 
 # --- symmetric-circuit closed form ---------------------------------------------------
@@ -309,6 +311,74 @@ def test_sym_phase_thermal_interference_cancels():
         for phi in np.linspace(0, 2 * math.pi, 401)
     ]
     assert max(values) - min(values) < 1e-12
+
+
+# --- closed forms over arrays --------------------------------------------------------
+
+G2S = np.array([0.0, 0.5, 1.0, 2.0, 6.0])
+G3S = np.array([0.0, 0.25, 1.0, 6.0, 90.0])
+XIS = np.linspace(0.0, 2.0, 9)[:, None]
+PHIS = np.linspace(0.0, 2 * math.pi, 7)[:, None]
+
+
+def elementwise(closed_form, *args):
+    """The closed form called once per element, with float arguments."""
+    args = np.broadcast_arrays(*args)
+    out = np.empty(args[0].shape)
+    for index in np.ndindex(out.shape):
+        out[index] = closed_form(*(float(a[index]) for a in args))
+    return out
+
+
+# (closed form, array arguments, whether phi is an array)
+BROADCAST_CASES = {
+    "hom-id": (partial(coincidence_hom, 0.3, indistinguishable=True), (G2S,), False),
+    "hom-dist": (partial(coincidence_hom, 0.3, indistinguishable=False), (G2S,), False),
+    "dft3-id": (partial(coincidence_dft3, indistinguishable=True), (G2S, G3S), False),
+    "dft3-dist": (partial(coincidence_dft3, indistinguishable=False), (G2S, G3S), False),
+    "mismatch-xi": (coincidence_mismatch_n3, (G2S, G3S, XIS), False),
+    "mismatch-scalar-xi": (partial(coincidence_mismatch_n3, xi=1.5), (G2S, G3S), False),
+    "sym-scalar-phi-id": (partial(coincidence_sym_phase, 0.7), (G2S, G3S), False),
+    "sym-scalar-phi-dist": (
+        partial(coincidence_sym_phase, 0.7, indistinguishable=False), (G2S, G3S), False
+    ),
+    "sym-phi-id": (coincidence_sym_phase, (PHIS, G2S, G3S), True),
+    "sym-phi-dist": (
+        partial(coincidence_sym_phase, indistinguishable=False), (PHIS, G2S, G3S), True
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROADCAST_CASES))
+def test_closed_forms_broadcast_like_elementwise_calls(case):
+    closed_form, args, phi_is_array = BROADCAST_CASES[case]
+    result = closed_form(*args)
+    expected = elementwise(closed_form, *args)
+    assert np.shape(result) == expected.shape
+    if phi_is_array:  # numpy's cos and complex powers may round differently
+        np.testing.assert_allclose(result, expected, rtol=1e-14, atol=1e-14)
+    else:  # a scalar phi keeps Python's float arithmetic: the same bits
+        np.testing.assert_array_equal(result, expected)
+
+
+def test_closed_forms_of_floats_are_floats():
+    assert type(coincidence_sym_phase(0.7, 1.3, 1.69)) is float
+    assert type(coincidence_mismatch_n3(1.3, 1.69, 0.5)) is float
+    assert type(coincidence_dft3(1.3, 1.69, False)) is float
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: coincidence_hom(0.5, np.array([1.0, -0.1])),
+        lambda: coincidence_dft3(G2S, np.array([1.0, 1.0, -1.0, 1.0, 1.0])),
+        lambda: coincidence_sym_phase(PHIS, -G2S - 1, G3S),
+        lambda: coincidence_mismatch_n3(-G2S, G3S, 1.0),
+    ],
+)
+def test_closed_forms_reject_any_negative_array_entry(call):
+    with pytest.raises(ValueError, match="must be >= 0"):
+        call()
 
 
 def test_permanent_cache_can_be_cleared():

@@ -150,6 +150,18 @@ def test_scan_overlap_endpoints():
     assert by_label["thermal"].rows[-1][3] == pytest.approx(11 / 20, abs=1e-12)
 
 
+def test_scan_overlap_bounds():
+    whole = scan_overlap(count=201)
+    part = scan_overlap(count=51, xi_lo=0.5, xi_hi=1.0)
+    for full, sub in zip(whole, part):
+        assert [row[0] for row in sub.rows] == pytest.approx(np.linspace(0.5, 1.0, 51).tolist())
+        assert sub.rows[0] == full.rows[50]
+        assert sub.rows[-1] == full.rows[100]
+    for lo, hi in [(-0.1, 1.0), (0.5, 2.5), (1.5, 1.0), (0.0, math.nan)]:
+        with pytest.raises(ValueError, match=r"within \[0, 2\]"):
+            scan_overlap(count=11, xi_lo=lo, xi_hi=hi)
+
+
 def test_scan_overlap_crossover_near_full_matching():
     # noise beats the single-photon magnitude only in the genuine
     # three-photon regime near full overlap

@@ -129,6 +129,13 @@ def test_custom_stats_orders():
     assert sources.custom_stats(1.5).max_order == 2
 
 
+def test_missing_order_names_it():
+    stats = sources.custom_stats(2.0)
+    assert stats.g2 == 2.0
+    with pytest.raises(ValueError, match=r"only to order 2, but g\(3\) is required"):
+        stats.g3
+
+
 def test_source_stats_validates_convention():
     with pytest.raises(ValueError, match=r"g\[0\] and g\[1\]"):
         sources.SourceStats(1.0, (1.0, 0.9, 1.0))

@@ -14,6 +14,7 @@ from multiphoton.visibility import (
     v3_gaussian_bound,
     v3_mixture,
     visibility,
+    visibility_of,
 )
 
 
@@ -31,8 +32,42 @@ def test_visibility_equal_probabilities():
 
 
 def test_visibility_degenerate_denominator():
-    with pytest.raises(ValueError, match="degenerate"):
-        visibility(0.1, 1e-13)
+    for bad in (1e-13, 0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="degenerate"):
+            visibility(0.1, bad)
+        with pytest.raises(ValueError, match="degenerate"):
+            visibility(np.array([0.1, 0.2, 0.3]), np.array([1.0, bad, 2.0]))
+
+
+def test_visibility_of_arrays_matches_scalar_calls():
+    p_id = np.array([[1 / 3, 4 / 9, 0.123], [1.0, 0.0, 2.5]])
+    p_dist = np.array([[2 / 9, 1.0, 0.123], [20 / 9, 0.5, 3.0]])
+    point = visibility(p_id, p_dist)
+    for index in np.ndindex(p_id.shape):
+        scalar = visibility(float(p_id[index]), float(p_dist[index]))
+        assert (point.v[index], point.p_id[index], point.p_dist[index]) == (
+            scalar.v,
+            scalar.p_id,
+            scalar.p_dist,
+        )
+
+
+def test_visibility_broadcasts_a_scalar_denominator():
+    point = visibility(np.array([0.0, 0.5, 1.0]), 2.0)
+    assert point.p_dist.shape == (3,)
+    np.testing.assert_array_equal(point.p_dist, [2.0, 2.0, 2.0])
+    np.testing.assert_array_equal(point.v, [1.0, 0.75, 0.5])
+    assert type(visibility(0.5, 2.0).v) is float
+
+
+def test_visibility_of_pairs_a_closed_form():
+    g2, g3 = np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 6.0])
+    point = visibility_of(coincidence.coincidence_dft3, g2, g3)
+    expected = visibility(
+        coincidence.coincidence_dft3(g2, g3, True), coincidence.coincidence_dft3(g2, g3, False)
+    )
+    np.testing.assert_array_equal(point.v, expected.v)
+    np.testing.assert_allclose(point.v, [-0.5, 5 / 9, 11 / 20], atol=1e-15)
 
 
 def test_v2_anchors():
