@@ -9,7 +9,6 @@ from multiphoton.circuits import Circuit, beamsplitter, custom, dft, symmetric
 from multiphoton.coincidence import (
     CoincidenceResult,
     InputEnsemble,
-    OverlapConfig,
     coincidence_dft3,
     coincidence_dist_general,
     coincidence_hom,
@@ -23,9 +22,7 @@ from multiphoton.coincidence import (
 from multiphoton.linalg import (
     HAVE_COMPILED_KERNEL,
     check_unitary,
-    column_select,
     mod_squared,
-    mode_assignment,
     permanent,
     permanent_naive,
 )
@@ -59,7 +56,6 @@ __all__ = [
     "CoincidenceResult",
     "HAVE_COMPILED_KERNEL",
     "InputEnsemble",
-    "OverlapConfig",
     "SourceStats",
     "StatClass",
     "VisibilityPoint",
@@ -73,7 +69,6 @@ __all__ = [
     "coincidence_mismatch_n3",
     "coincidence_n3_explicit",
     "coincidence_sym_phase",
-    "column_select",
     "custom",
     "custom_stats",
     "dft",
@@ -82,7 +77,6 @@ __all__ = [
     "fock_stats",
     "laser_stats",
     "mod_squared",
-    "mode_assignment",
     "permanent",
     "permanent_naive",
     "symmetric",

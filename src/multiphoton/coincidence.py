@@ -10,7 +10,8 @@ patterns s (compositions of N into N parts):
     distinguishable:    the same sum with Per(V_d(s)) / prod_i s_i!
                               (first power), where v_ij = |u_ij|^2
 
-with U_d(s) the column multiset selected by the assignment tuple d(s).
+with U_d(s) = U[:, d(s)], where d(s) lists each column index j exactly
+s_j times in non-decreasing order (s = (2, 0, 1) gives d = (1, 1, 3)).
 The distinguishable sum divides by prod s_i! exactly once: the permanent
 of a matrix with a repeated column already counts every ordering of the
 identical photons, and squaring the factor would double-count it.
@@ -74,46 +75,29 @@ class CoincidenceResult:
     p_normalized: float
 
 
-@dataclass(frozen=True)
-class OverlapConfig:
-    """Sequential alignment of the three pairwise mode overlaps.
+def enumerate_exponent_tuples(n: int) -> np.ndarray:
+    """All occupation patterns (s_1..s_N) with sum s_i = N, one per row of
+    a read-only (K, N) integer array in lexicographic order; there are
+    K = C(2N-1, N-1) of them.  This is the array the engines index."""
+    return _expansion_plan(n)[0]
 
-    xi in [0, 1] sweeps M23 from 0 to 1 with M12 = M31 = 0 (ports 1 and 2
-    stay mutually distinguishable); xi in (1, 2] then sweeps M12 = M31
-    from 0 to 1 with M23 pinned at 1.
+
+def _compositions(n: int) -> list[np.ndarray]:
+    """[S_0, ..., S_n]: S_k holds every composition of k into n parts, one
+    per row, in lexicographic order.
+
+    The prefixes of n - 1 parts with sum <= n are grown one port at a time,
+    each prefix p followed by 0..n - sum(p), which keeps them sorted; S_k
+    completes each prefix of sum <= k with its remainder as the last part.
     """
-
-    xi: float
-
-    def __post_init__(self):
-        if not 0 <= self.xi <= 2:
-            raise ValueError(f"overlap parameter must be in [0, 2], got {self.xi}")
-
-    @property
-    def overlaps(self) -> tuple[float, float, float]:
-        """(M12, M23, M31) at this point of the path."""
-        if self.xi <= 1:
-            return (0.0, self.xi, 0.0)
-        return (self.xi - 1, 1.0, self.xi - 1)
-
-
-def enumerate_exponent_tuples(n: int) -> tuple[tuple[int, ...], ...]:
-    """All occupation patterns (s_1..s_N) with sum s_i = N, in
-    lexicographic order; there are C(2N-1, N-1) of them."""
-    if not 1 <= n <= MAX_PORTS:
-        raise ValueError(f"port count must be in 1..{MAX_PORTS}, got {n}")
-    return _compositions(n, n)
-
-
-@lru_cache(maxsize=None)
-def _compositions(total: int, slots: int) -> tuple[tuple[int, ...], ...]:
-    if slots == 1:
-        return ((total,),)
-    out = []
-    for first in range(total + 1):
-        for rest in _compositions(total - first, slots - 1):
-            out.append((first, *rest))
-    return tuple(out)
+    prefixes = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(n - 1):
+        counts = n + 1 - prefixes.sum(axis=1)
+        starts = np.repeat(np.cumsum(counts) - counts, counts)
+        last = np.arange(starts.size) - starts
+        prefixes = np.column_stack((np.repeat(prefixes, counts, axis=0), last))
+    used = prefixes.sum(axis=1)
+    return [np.column_stack((prefixes[used <= k], k - used[used <= k])) for k in range(n + 1)]
 
 
 # --- general engines -------------------------------------------------------
@@ -137,11 +121,15 @@ def _expansion_plan(n: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, .
       (2, K_{k+1}) stack, so one 1-D scatter-add serves U and V at once.
 
     Patterns of one degree are ranked by their base-(N+1) code, which
-    sorts like the tuples do, so each map is one ``searchsorted``.
+    sorts like the rows do, so each map is one ``searchsorted``.
     """
-    s = np.array(enumerate_exponent_tuples(n))  # rejects n outside 1..MAX_PORTS
+    if not 1 <= n <= MAX_PORTS:
+        raise ValueError(f"port count must be in 1..{MAX_PORTS}, got {n}")
+    patterns = _compositions(n)
+    s = patterns[n]
+    s.flags.writeable = False
     radix = (n + 1) ** np.arange(n - 1, -1, -1)
-    codes = [np.array(_compositions(k, n)) @ radix for k in range(n)] + [s @ radix]
+    codes = [p @ radix for p in patterns]
     shifts = []
     for k in range(n):
         to = np.searchsorted(codes[k + 1], codes[k] + radix[:, None])
@@ -355,9 +343,12 @@ def coincidence_dft3(g2, g3, indistinguishable: bool = True):
 
 def coincidence_mismatch_n3(g2, g3, xi):
     """Normalized three-fold coincidence on the balanced 3-port along the
-    sequential-alignment path of :class:`OverlapConfig`.
+    sequential-alignment path of the pairwise mode overlaps.
 
-    With M the active overlap, the two branches are
+    xi in [0, 1] sweeps M23 from 0 to 1 with M12 = M31 = 0 (ports 1 and 2
+    stay mutually distinguishable); xi in (1, 2] then sweeps M12 = M31
+    from 0 to 1 with M23 pinned at 1.  With M the active overlap, the two
+    branches are
     g3/9 + 2(3-M) g2/9 + (2-M)/9 (xi <= 1) and
     g3/9 + 4(1-M) g2/9 + (1+2M)/9 (xi > 1); they agree at the joint and
     reduce to the fully distinguishable / fully indistinguishable values

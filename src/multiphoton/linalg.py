@@ -1,4 +1,4 @@
-"""Complex matrix utilities: permanents, column selection, unitarity checks.
+"""Complex matrix utilities: permanents, squared moduli, unitarity checks.
 
 The permanent is evaluated by Glynn's formula in plain numpy, one kernel
 on every install.  The coincidence engines do not call it: their weight
@@ -9,7 +9,7 @@ and direct use.
 from __future__ import annotations
 
 import itertools
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,39 +120,6 @@ def permanent_naive(matrix) -> complex:
             term *= rows[i][j]
         total += term
     return total
-
-
-def mode_assignment(s: Sequence[int]) -> tuple[int, ...]:
-    """Column-assignment tuple for an occupation pattern.
-
-    Lists the 1-based index j exactly s[j-1] times, in non-decreasing
-    order, e.g. (2, 0, 1) -> (1, 1, 3).
-    """
-    d: list[int] = []
-    for j, count in enumerate(s, start=1):
-        if count < 0:
-            raise ValueError("occupation counts must be non-negative")
-        d.extend([j] * count)
-    return tuple(d)
-
-
-def column_select(matrix, assignment: Sequence[int]) -> np.ndarray:
-    """Square matrix built by picking columns (with repetition).
-
-    ``assignment`` holds 1-based column indices; its length must equal the
-    row count so the result is square, e.g. the identity selection for an
-    N x N matrix is (1, 2, ..., N).
-    """
-    m = as_complex_matrix(matrix)
-    d = tuple(int(j) for j in assignment)
-    if len(d) != m.shape[0]:
-        raise ValueError(
-            f"assignment length {len(d)} must equal the row count {m.shape[0]}"
-        )
-    for j in d:
-        if not 1 <= j <= m.shape[1]:
-            raise ValueError(f"column index {j} out of range 1..{m.shape[1]}")
-    return np.ascontiguousarray(m[:, [j - 1 for j in d]])
 
 
 def mod_squared(matrix) -> np.ndarray:

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from multiphoton import cli, circuits, coincidence, linalg
+from multiphoton import cli, circuits, linalg
 from multiphoton.cli import (
     UsageError,
     load_circuit_json,
@@ -405,15 +405,17 @@ def test_verify_detects_injected_sign_flip(capsys, monkeypatch):
     def flipped(matrix):
         return -original(matrix)
 
-    coincidence.clear_permanent_cache()
     monkeypatch.setattr(linalg, "permanent", flipped)
-    try:
-        code, out, _ = run_cli(capsys, "verify", "--seed", "7")
-    finally:
-        monkeypatch.undo()
-        coincidence.clear_permanent_cache()
+    code, out, _ = run_cli(capsys, "verify", "--seed", "7")
     assert code == 1
-    assert "FAIL" in out
+    lines = out.splitlines()
+    assert lines[-1] == "8/10 checks passed (seed=7)"
+    rows = [line.split(":")[0].split() for line in lines[:-1]]
+    assert sorted(name for word, name in rows if word == "FAIL") == [
+        "permanent-known-values",
+        "permanent-ryser-vs-naive",
+    ]
+    assert [word for word, _ in rows].count("ok") == 8
 
 
 def test_console_entry_point():

@@ -1,3 +1,4 @@
+import itertools
 import math
 from functools import partial
 
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 from multiphoton import circuits, coincidence, sources
 from multiphoton.coincidence import (
     InputEnsemble,
-    OverlapConfig,
     coincidence_dft3,
     coincidence_dist_general,
     coincidence_hom,
@@ -23,18 +23,29 @@ from multiphoton.coincidence import (
 
 
 def test_exponent_tuples_two_ports():
-    assert enumerate_exponent_tuples(2) == ((0, 2), (1, 1), (2, 0))
+    assert enumerate_exponent_tuples(2).tolist() == [[0, 2], [1, 1], [2, 0]]
 
 
 def test_exponent_tuples_counts():
-    assert len(enumerate_exponent_tuples(3)) == 10
-    assert len(enumerate_exponent_tuples(4)) == 35
+    assert enumerate_exponent_tuples(3).shape == (10, 3)
+    assert enumerate_exponent_tuples(4).shape == (35, 4)
 
 
 def test_exponent_tuples_sorted_and_sum_correct():
     tuples = enumerate_exponent_tuples(4)
-    assert list(tuples) == sorted(tuples)
-    assert all(sum(s) == 4 for s in tuples)
+    assert tuples.tolist() == sorted(tuples.tolist())
+    assert (tuples.sum(axis=1) == 4).all()
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_exponent_tuples_match_product_reference(n):
+    reference = [p for p in itertools.product(range(n + 1), repeat=n) if sum(p) == n]
+    assert list(map(tuple, enumerate_exponent_tuples(n).tolist())) == reference
+
+
+def test_exponent_tuples_are_read_only():
+    with pytest.raises(ValueError):
+        enumerate_exponent_tuples(3)[0, 0] = 1
 
 
 def test_exponent_tuples_range():
@@ -225,21 +236,6 @@ def test_port_count_mismatch_rejected():
 
 
 # --- sequential mode overlap -------------------------------------------------------
-
-def test_overlap_config_branches():
-    assert OverlapConfig(0.0).overlaps == (0.0, 0.0, 0.0)
-    assert OverlapConfig(0.4).overlaps == (0.0, 0.4, 0.0)
-    assert OverlapConfig(1.0).overlaps == (0.0, 1.0, 0.0)
-    assert OverlapConfig(1.5).overlaps == (0.5, 1.0, 0.5)
-    assert OverlapConfig(2.0).overlaps == (1.0, 1.0, 1.0)
-
-
-def test_overlap_config_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        OverlapConfig(-0.1)
-    with pytest.raises(ValueError):
-        OverlapConfig(2.1)
-
 
 def test_mismatch_endpoints_reduce_to_full_cases():
     for g2, g3 in [(0, 0), (1, 1), (2, 6), (1.9, 3.6)]:

@@ -122,44 +122,19 @@ def test_permanent_invariant_under_row_column_permutations(seed, n):
     assert linalg.permanent(shuffled) == pytest.approx(reference, rel=1e-10)
 
 
-# --- mode assignment / column selection ---------------------------------------
-
-def test_mode_assignment_examples():
-    assert linalg.mode_assignment((2, 0, 1)) == (1, 1, 3)
-    assert linalg.mode_assignment((1, 1, 1)) == (1, 2, 3)
-    assert linalg.mode_assignment((0, 3, 0)) == (2, 2, 2)
-
-
-def test_column_select_identity_selection():
-    rng = np.random.default_rng(0)
-    m = random_complex(rng, 3)
-    np.testing.assert_array_equal(linalg.column_select(m, (1, 2, 3)), m)
-
+# --- repeated columns -------------------------------------------------------------
 
 def test_column_select_repeated_basis_column_kills_permanent():
-    selected = linalg.column_select(np.eye(3), (1, 1, 3))
-    np.testing.assert_array_equal(selected[:, 0], selected[:, 1])
+    selected = np.eye(3)[:, [0, 0, 2]]
     assert linalg.permanent(selected) == 0
 
 
 def test_column_select_dft3_doubled_column():
     u = circuits.dft(3).u
-    selected = linalg.column_select(u, linalg.mode_assignment((2, 0, 1)))
-    value = abs(linalg.permanent_naive(selected) / math.factorial(2)) ** 2
+    d = np.repeat(np.arange(3), (2, 0, 1))  # columns 1, 1, 3
+    value = abs(linalg.permanent_naive(u[:, d]) / math.factorial(2)) ** 2
     # destructive interference: doubled-column contribution vanishes
     assert value == pytest.approx(0.0, abs=1e-15)
-
-
-def test_column_select_rejects_bad_index():
-    with pytest.raises(ValueError, match="out of range"):
-        linalg.column_select(np.eye(3), (1, 2, 4))
-    with pytest.raises(ValueError, match="out of range"):
-        linalg.column_select(np.eye(3), (0, 1, 2))
-
-
-def test_column_select_rejects_bad_length():
-    with pytest.raises(ValueError, match="length"):
-        linalg.column_select(np.eye(3), (1, 2))
 
 
 # --- mod_squared ---------------------------------------------------------------

@@ -45,18 +45,19 @@ def permanent_table(u):
     which the missing-order rule would count as a nonzero weight, so such
     patterns are set to 0.  The matchings are counted exactly, as the
     permanent of the 0/1 support."""
+    n = u.shape[0]
     v = linalg.mod_squared(u)
     support = (v != 0).astype(float)
     w_id, w_dist = [], []
-    for s in enumerate_exponent_tuples(u.shape[0]):
-        d = linalg.mode_assignment(s)
-        if linalg.permanent(linalg.column_select(support, d)) == 0:
+    for s in enumerate_exponent_tuples(n):
+        d = np.repeat(np.arange(n), s)
+        if linalg.permanent(support[:, d]) == 0:
             w_id.append(0.0)
             w_dist.append(0.0)
             continue
         norm = math.prod(math.factorial(si) for si in s)
-        w_id.append(abs(linalg.permanent(linalg.column_select(u, d)) / norm) ** 2)
-        w_dist.append(linalg.permanent(linalg.column_select(v, d)).real / norm)
+        w_id.append(abs(linalg.permanent(u[:, d]) / norm) ** 2)
+        w_dist.append(linalg.permanent(v[:, d]).real / norm)
     return np.array(w_id), np.array(w_dist)
 
 
@@ -140,12 +141,17 @@ def test_uniform_thermal_and_laser_invariants(n, seed):
     assert abs(coincidence_dist_general(circuit, laser).p_normalized - 1) <= 1e-10
 
 
-@pytest.mark.parametrize("n", [2, 4, 6, 8])
-def test_zero_transmission_law_even_dft(n):
-    # Per(DFT_N) = 0 for even N: one photon per input never exits one per output
+@pytest.mark.parametrize("n", range(2, MAX_PORTS + 1))
+def test_zero_transmission_law_dft(n):
+    """Tichy et al., PRL 104, 220405 (2010): on DFT(N), w_id vanishes at
+    every pattern with sum_j (j - 1) s_j != 0 (mod N).  For even N that
+    includes one photon per port, Per(DFT_N) = 0."""
+    s = enumerate_exponent_tuples(n)
+    suppressed = s @ np.arange(n) % n != 0
+    if n % 2 == 0:
+        assert suppressed[(s == 1).all(axis=1)].all()
     w_id, _ = coincidence._weights(circuits.dft(n))
-    all_ones = enumerate_exponent_tuples(n).index((1,) * n)
-    assert w_id[all_ones] < 1e-24
+    assert w_id[suppressed].max() < 1e-24
 
 
 @pytest.mark.parametrize("n", range(2, MAX_PORTS + 1))
