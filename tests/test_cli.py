@@ -93,6 +93,29 @@ def test_mismatch_grid_outside_the_path_is_a_usage_error(capsys):
     assert "within [0, 2]" in err
 
 
+@pytest.mark.parametrize("spec", ["-1:6:10", "0:2e6:10"])
+def test_dft_vis_grid_outside_the_g2_domain_is_a_usage_error(capsys, spec):
+    code, out, err = run_cli(capsys, "dft-vis", f"--scan-g2={spec}")
+    assert code == 2
+    assert out == ""
+    assert "within [0, 1e+06]" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sym", "--sources", ""],
+        ["mismatch", "--sources", ","],
+        ["coinc", "--dft", "3", "--sources", ""],
+    ],
+)
+def test_empty_source_list_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "no source spec" in err
+
+
 # --- hom -------------------------------------------------------------------------
 
 def test_hom_single_point(capsys):

@@ -1,7 +1,8 @@
 """The per-circuit weight table and the pattern sum of the general engines.
 
 The table comes from one polynomial expansion; these tests hold it to the
-per-pattern permanent construction it replaced, check exact invariants that
+per-pattern permanent construction it replaced and to the same expansion
+run in exact integer arithmetic, check exact invariants that
 hold at any port count up to MAX_PORTS, and pin when a missing g^(m)
 order is an error.
 """
@@ -24,6 +25,7 @@ from multiphoton.coincidence import (
 )
 
 TABLE_TOL = 1e-12  # absolute, on |Per/prod s!|^2 and Per(V)/prod s!
+EXACT_TOL = 1e-15  # absolute, the table against its exact expansion
 ENGINES = (coincidence_id_general, coincidence_dist_general)
 
 
@@ -58,6 +60,45 @@ def permanent_table(u):
         norm = math.prod(math.factorial(si) for si in s)
         w_id.append(abs(linalg.permanent(u[:, d]) / norm) ** 2)
         w_dist.append(linalg.permanent(v[:, d]).real / norm)
+    return np.array(w_id), np.array(w_dist)
+
+
+def exact_table(u):
+    """(w_id, w_dist) from prod_i (sum_j m_ij x_j) expanded in Python ints,
+    on the very float matrices the engine expands: U and V = |U|^2.
+
+    Every float is an integer over a power of 2, so scaling all entries by
+    the largest denominator among them makes each one an integer; the
+    coefficients are then exact Gaussian integers (for U) and integers
+    (for V), and only the final division rounds, correctly, to a float.
+    A pattern is keyed by its base-(N+1) code, so adding a photon to
+    port j adds (N+1)^(N-1-j)."""
+    n = u.shape[0]
+    v = np.abs(u) ** 2
+    scale = max(x.as_integer_ratio()[1] for x in (*u.real.flat, *u.imag.flat, *v.flat))
+
+    def fixed(x):
+        p, q = x.as_integer_ratio()
+        return p * (scale // q)
+
+    mu = [[(fixed(z.real), fixed(z.imag)) for z in row] for row in u.tolist()]
+    mv = [[fixed(x) for x in row] for row in v.tolist()]
+    radix = [(n + 1) ** (n - 1 - j) for j in range(n)]
+    cu, cv = {0: (1, 0)}, {0: 1}
+    for i in range(n):
+        gu, gv = {}, {}
+        for code, (a, b) in cu.items():
+            for step, (c, d) in zip(radix, mu[i]):
+                re, im = gu.get(code + step, (0, 0))
+                gu[code + step] = (re + a * c - b * d, im + a * d + b * c)
+        for code, a in cv.items():
+            for step, c in zip(radix, mv[i]):
+                gv[code + step] = gv.get(code + step, 0) + a * c
+        cu, cv = gu, gv
+    codes = (enumerate_exponent_tuples(n) @ np.array(radix)).tolist()
+    denom = scale**n
+    w_id = [(cu[k][0] ** 2 + cu[k][1] ** 2) / denom**2 for k in codes]
+    w_dist = [cv[k] / denom for k in codes]
     return np.array(w_id), np.array(w_dist)
 
 
@@ -111,6 +152,20 @@ def test_table_matches_ryser_reference(u):
     assert w_id.shape == w_dist.shape == (len(enumerate_exponent_tuples(u.shape[0])),)
     assert np.abs(w_id - ref_id).max() <= TABLE_TOL
     assert np.abs(w_dist - ref_dist).max() <= TABLE_TOL
+
+
+@pytest.mark.parametrize(
+    "u",
+    [
+        pytest.param(haar(100 + MAX_PORTS, MAX_PORTS), id=f"haar{MAX_PORTS}"),
+        *[pytest.param(circuits.dft(n).u, id=f"dft{n}") for n in range(2, MAX_PORTS + 1)],
+    ],
+)
+def test_table_matches_exact_expansion(u):
+    w_id, w_dist = coincidence._weights(circuits.custom(u))
+    exact_id, exact_dist = exact_table(np.asarray(u))
+    assert np.abs(w_id - exact_id).max() <= EXACT_TOL
+    assert np.abs(w_dist - exact_dist).max() <= EXACT_TOL
 
 
 def test_port_count_above_max_rejected():
