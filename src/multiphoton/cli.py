@@ -189,6 +189,8 @@ def cmd_hom(args) -> int:
         raise UsageError("hom needs --g2, --source, or --scan-g2")
     if not 0 <= args.R <= 1:
         raise UsageError(f"--R must be in [0, 1], got {args.R}")
+    if not np.all((grid >= 0) & (grid <= sources.G_CAP)):
+        raise UsageError(f"g2 must stay within [0, {sources.G_CAP:g}]")
 
     point = visibility_of(coincidence.coincidence_hom, args.R, grid)
     lines = ["param,g2,p_id,p_dist,v"]

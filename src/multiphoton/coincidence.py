@@ -106,19 +106,14 @@ def _compositions(n: int) -> list[np.ndarray]:
 
 # --- general engines -------------------------------------------------------
 
-# The weights depend only on the circuit, so each circuit gets one table
-# that scans then reuse across thousands of source configurations: the pair
-# (w_id, w_dist) of read-only float arrays, entry k belonging to pattern
-# enumerate_exponent_tuples(N)[k].  Keyed by the matrix bytes; lru_cache
-# makes concurrent readers safe.
-
 @lru_cache(maxsize=None)  # one entry per port count, so at most MAX_PORTS
 def _expansion_plan(n: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
     """Index arrays shared by every N-port table and pattern sum.
 
     * ``s``: the exponent matrix (K x N, one pattern per row, table order);
-    * ``take``: flat indices into an N x (N+1) per-port table T, so that
-      ``T.take(take)[k, i] == T[i, s[k, i]]``;
+    * ``take``: flat indices into an N x (N+1) per-port table T, stored
+      port-major (N x K), so that ``T.take(take)[i, k] == T[i, s[k, i]]``
+      and the product over ports runs along the outer axis;
     * ``shifts[k]`` (N x 2K_k): the shift maps of degree k on a (2, K_k)
       stack of coefficient vectors, flattened.  Row j sends each degree-k
       pattern p of either half to p + e_j in the same half of the flattened
@@ -138,8 +133,15 @@ def _expansion_plan(n: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, .
     for k in range(n):
         to = np.searchsorted(codes[k + 1], codes[k] + radix[:, None])
         shifts.append(np.concatenate((to, to + len(codes[k + 1])), axis=1))
-    return s, np.arange(n) * (n + 1) + s, tuple(shifts)
+    take = np.ascontiguousarray((np.arange(n) * (n + 1) + s).T)
+    return s, take, tuple(shifts)
 
+
+# The weights depend only on the circuit, so each circuit gets one table
+# that scans then reuse across thousands of source configurations: the pair
+# (w_id, w_dist) of read-only float arrays, entry k belonging to pattern
+# enumerate_exponent_tuples(N)[k].  Keyed by the matrix bytes; lru_cache
+# makes concurrent readers safe.
 
 @lru_cache(maxsize=256)
 def _weights_cached(n: int, key: bytes) -> tuple[np.ndarray, np.ndarray]:
@@ -183,8 +185,8 @@ def _pattern_sum(stats: Sequence[SourceStats], weights: np.ndarray) -> float:
         g = stat.g[: n + 1]
         table[i, : len(g)] = g
     means = np.array([stat.mean_n for stat in stats])
-    orders = np.array([stat.max_order for stat in stats])
-    if orders.min() < n:
+    if min(stat.max_order for stat in stats) < n:
+        orders = np.array([stat.max_order for stat in stats])
         dead = (s > 0) & (means == 0)
         missing = (s > orders) & ~dead
         first = (dead | missing).argmax(axis=1)
@@ -198,7 +200,7 @@ def _pattern_sum(stats: Sequence[SourceStats], weights: np.ndarray) -> float:
                 f"but g({s[k, i]}) is required"
             )
     table *= means[:, None] ** np.arange(n + 1)
-    return float(weights @ table.take(take).prod(axis=1))
+    return float(weights @ table.take(take).prod(axis=0))
 
 
 def _check_ports(circuit: Circuit, ensemble: InputEnsemble) -> None:

@@ -22,6 +22,7 @@ from multiphoton.coincidence import (
     coincidence_sym_phase,
 )
 from multiphoton.sources import (
+    G_CAP,
     SourceStats,
     custom_stats,
     diluted_laser_stats,
@@ -200,13 +201,14 @@ def _within(grid, name: str, lo: float, hi: float) -> np.ndarray:
 
 
 def scan_g2_dft(grid) -> list[ScanResult]:
-    """Visibility versus g2 on the balanced 3-port, g2 in [0, 1e6].
+    """Visibility versus g2 on the balanced 3-port, g2 in [0, 1e6]: the
+    classical curve sets g3 = g2^2, so g2 stops at sqrt(G_CAP).
 
     Emits the classical-noise ceiling (g3 = g2^2), the pure-Gaussian
     limit (g3 = (2 - 3 sqrt(g2))^2), the two-port reference at R = 1/2,
     and one single-row result per marked source.
     """
-    grid = _within(grid, "g2", 0, 1e6)
+    grid = _within(grid, "g2", 0, math.sqrt(G_CAP))
     gaussian_g3 = (2 - 3 * np.sqrt(grid)) ** 2
     results = [
         _curve("classical-bound", grid, visibility_of(coincidence_dft3, grid, grid * grid)),

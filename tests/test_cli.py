@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from multiphoton import cli, circuits, linalg
+from multiphoton import cli, circuits, linalg, sources
 from multiphoton.cli import (
     UsageError,
     load_circuit_json,
@@ -164,6 +164,22 @@ def test_hom_rejects_negative_g2(capsys):
     code, _, err = run_cli(capsys, "hom", "--R", "0.5", "--g2", "-1")
     assert code == 2
     assert "g2" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["--scan-g2", "0:1e308:3"], ["--g2", "1.7e308"], ["--g2", "1e13"]]
+)
+def test_hom_g2_above_the_source_cap_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, "hom", "--R", "0.5", *argv)
+    assert code == 2
+    assert out == ""
+    assert f"[0, {sources.G_CAP:g}]" in err
+
+
+def test_hom_accepts_g2_at_the_source_cap(capsys):
+    code, out, _ = run_cli(capsys, "hom", "--R", "0.5", "--g2", "1e12")
+    assert code == 0
+    assert float(read_csv(out)[0]["g2"]) == sources.G_CAP
 
 
 # --- non-finite input and unwritable output ------------------------------------------

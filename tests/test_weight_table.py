@@ -291,3 +291,53 @@ def test_engines_match_loop_reference(n, seed, blocked):
             assert got[1] == want[1]
         else:
             assert got[1] == pytest.approx(want[1], rel=1e-12, abs=1e-14)
+
+
+def _lit_stats(rng, order):
+    """A lit port with random g^(2)..g^(order)."""
+    return sources.SourceStats(
+        float(rng.uniform(0.1, 3.0)), (1.0, 1.0, *rng.uniform(0, 5, order - 1).tolist())
+    )
+
+
+@pytest.mark.parametrize("n", range(5, MAX_PORTS + 1))
+def test_engines_match_loop_reference_at_benchmark_sizes(n):
+    """The array sum against the per-pattern loop over the engine's own
+    table at N = 5..MAX_PORTS, where the benchmark runs it; no permanents."""
+    rng = np.random.default_rng(300 + n)
+    circuit = circuits.custom(haar(300 + n, n))
+    patterns = enumerate_exponent_tuples(n)
+    physical = [
+        sources.thermal_stats(n, mean_n=0.7),
+        sources.laser_stats(n, mean_n=1.3),
+        sources.fock_stats(2, n),
+        sources.diluted_laser_stats(0.4, n),
+    ]
+    dark = sources.SourceStats(0.0, (1.0, 1.0))
+    short = sources.SourceStats(1.5, (1.0, 1.0, *rng.uniform(0, 5, n - 2).tolist()))
+    ensembles = [
+        [_lit_stats(rng, n) for _ in range(n)],
+        [dark if i == 1 else _lit_stats(rng, n + 1) for i in range(n)],
+        [physical[i % len(physical)] for i in range(n)],
+        [short if i == n // 2 else _lit_stats(rng, n) for i in range(n)],
+    ]
+    for stats in ensembles:
+        ens = InputEnsemble(stats=tuple(stats))
+        for engine, weights in zip(ENGINES, coincidence._weights(circuit)):
+            got = outcome(lambda: engine(circuit, ens).p_raw)
+            want = outcome(loop_sum, ens.stats, weights, patterns)
+            assert got[0] == want[0] == ("error" if short in stats else "ok")
+            if got[0] == "error":
+                assert got[1] == want[1]
+            else:
+                assert got[1] == pytest.approx(want[1], rel=1e-12)
+
+
+@pytest.mark.parametrize("n", range(1, MAX_PORTS + 1))
+def test_take_is_port_major(n):
+    """The pattern sum's gather lays the ports along the outer axis."""
+    s, take, _ = coincidence._expansion_plan(n)
+    table = np.random.default_rng(n).random((n, n + 1))
+    assert take.shape == (n, len(s))
+    assert take.flags.c_contiguous
+    assert np.array_equal(table.take(take), table[np.arange(n)[:, None], s.T])
