@@ -55,7 +55,7 @@ def finite_float(text: str) -> float:
     return value
 
 
-def parse_grid_spec(text: str, minimum: int = 2) -> np.ndarray:
+def parse_grid_spec(text: str) -> np.ndarray:
     """Parse 'start:stop:count' into an inclusive linear grid."""
     parts = text.split(":")
     if len(parts) != 3:
@@ -66,8 +66,8 @@ def parse_grid_spec(text: str, minimum: int = 2) -> np.ndarray:
         raise UsageError(f"bad grid {text!r}: {exc}") from None
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise UsageError(f"grid endpoints must be finite, got {text!r}")
-    if count < minimum:
-        raise UsageError(f"grid needs at least {minimum} points, got {count}")
+    if count < 2:
+        raise UsageError(f"grid needs at least 2 points, got {count}")
     if count > MAX_GRID_POINTS:
         raise UsageError(f"grid allows at most {MAX_GRID_POINTS} points, got {count}")
     if hi <= lo:
@@ -105,8 +105,6 @@ def parse_source_spec(text: str, max_order: int = 3) -> tuple[str, sources.Sourc
             if fields:
                 raise ValueError(f"unknown fields {sorted(fields)}")
             return text, sources.custom_stats(g2, g3)
-    except UsageError:
-        raise
     except (ValueError, KeyError) as exc:
         raise UsageError(f"bad source spec {text!r}: {exc}") from None
     raise UsageError(f"unknown source spec {text!r}")
@@ -140,10 +138,7 @@ def load_circuit_json(path: str) -> circuits.Circuit:
         raise UsageError(f"cannot load circuit from {path}: {exc}") from None
     if u.shape != (n, n):
         raise UsageError(f"circuit file declares n={n} but matrix shape is {u.shape}")
-    try:
-        return circuits.custom(u)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return circuits.custom(u)
 
 
 def _fmt(x: float) -> str:
@@ -178,17 +173,13 @@ def _scan_csv(results: list[ScanResult], param_name: str) -> list[str]:
 # --- subcommands ------------------------------------------------------------
 
 def cmd_hom(args) -> int:
-    if args.scan_g2:
+    if args.scan_g2 is not None:
         grid = parse_grid_spec(args.scan_g2)
     elif args.source is not None:
         _, stats = parse_source_spec(args.source)
         grid = np.array([stats.g2])
-    elif args.g2 is not None:
-        grid = np.array([args.g2])
     else:
-        raise UsageError("hom needs --g2, --source, or --scan-g2")
-    if not 0 <= args.R <= 1:
-        raise UsageError(f"--R must be in [0, 1], got {args.R}")
+        grid = np.array([args.g2])
     if not np.all((grid >= 0) & (grid <= sources.G_CAP)):
         raise UsageError(f"g2 must stay within [0, {sources.G_CAP:g}]")
 
@@ -231,13 +222,10 @@ def cmd_coinc(args) -> int:
             f"got {len(srcs)}"
         )
     ensemble = coincidence.InputEnsemble(stats=tuple(s for _, s in srcs))
-    try:
-        point = visibility(
-            coincidence.coincidence_id_general(circuit, ensemble).p_normalized,
-            coincidence.coincidence_dist_general(circuit, ensemble).p_normalized,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    point = visibility(
+        coincidence.coincidence_id_general(circuit, ensemble).p_normalized,
+        coincidence.coincidence_dist_general(circuit, ensemble).p_normalized,
+    )
     names = [name for name, _ in srcs]
     label = names[0] if len(set(names)) == 1 else "+".join(names)
     values = ",".join(map(_fmt, (point.p_id, point.p_dist, point.v)))
@@ -246,25 +234,12 @@ def cmd_coinc(args) -> int:
 
 
 def _circuit_from_flags(args) -> circuits.Circuit:
-    chosen = [
-        args.dft is not None,
-        args.beamsplitter is not None,
-        args.symmetric is not None,
-        args.circuit is not None,
-    ]
-    if sum(chosen) != 1:
-        raise UsageError(
-            "choose exactly one of --dft, --beamsplitter, --symmetric, --circuit"
-        )
-    try:
-        if args.dft is not None:
-            return circuits.dft(args.dft)
-        if args.beamsplitter is not None:
-            return circuits.beamsplitter(args.beamsplitter)
-        if args.symmetric is not None:
-            return circuits.symmetric(args.symmetric)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    if args.dft is not None:
+        return circuits.dft(args.dft)
+    if args.beamsplitter is not None:
+        return circuits.beamsplitter(args.beamsplitter)
+    if args.symmetric is not None:
+        return circuits.symmetric(args.symmetric)
     return load_circuit_json(args.circuit)
 
 
@@ -294,13 +269,11 @@ def cmd_optimize(args) -> int:
                 for phi, fm, nm, n in report.rows
             ],
         }
-    elif args.scan_phi:
+    elif args.scan_phi is not None:
         grid = parse_grid_spec(args.scan_phi)
         payload = {"reports": [_optimum_report(float(phi)) for phi in grid]}
-    elif args.phi is not None:
-        payload = _optimum_report(args.phi)
     else:
-        raise UsageError("optimize needs --phi, --scan-phi, or --crossover")
+        payload = _optimum_report(args.phi)
     _emit([json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)], args.output)
     return 0
 
@@ -486,9 +459,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hom", help="two-port beamsplitter coincidence and visibility")
     p.add_argument("--R", type=finite_float, default=0.5, help="beamsplitter reflectance")
-    p.add_argument("--g2", type=finite_float, help="source g2")
-    p.add_argument("--source", help="source spec instead of --g2 (e.g. thermal)")
-    p.add_argument("--scan-g2", help="g2 grid start:stop:count")
+    one = p.add_mutually_exclusive_group(required=True)
+    one.add_argument("--g2", type=finite_float, help="source g2")
+    one.add_argument("--source", help="source spec instead of --g2 (e.g. thermal)")
+    one.add_argument("--scan-g2", help="g2 grid start:stop:count")
     p.add_argument("-o", "--output", help="write CSV here instead of stdout")
     p.set_defaults(func=cmd_hom)
 
@@ -520,10 +494,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sym)
 
     p = sub.add_parser("coinc", help="ad-hoc coincidence evaluation on any circuit")
-    p.add_argument("--dft", type=int, help="use the N-port DFT circuit")
-    p.add_argument("--beamsplitter", type=finite_float, help="use a beamsplitter of reflectance R")
-    p.add_argument("--symmetric", type=finite_float, help="use the symmetric 3-port at phase PHI")
-    p.add_argument("--circuit", help="JSON circuit file {n, re, im}")
+    one = p.add_mutually_exclusive_group(required=True)
+    one.add_argument(
+        "--dft",
+        type=int,
+        choices=range(2, coincidence.MAX_PORTS + 1),
+        metavar="N",
+        help=f"use the N-port DFT circuit, N in 2..{coincidence.MAX_PORTS}",
+    )
+    one.add_argument("--beamsplitter", type=finite_float, help="use a beamsplitter of reflectance R")
+    one.add_argument("--symmetric", type=finite_float, help="use the symmetric 3-port at phase PHI")
+    one.add_argument("--circuit", help="JSON circuit file {n, re, im}")
     p.add_argument(
         "--sources",
         required=True,
@@ -533,9 +514,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_coinc)
 
     p = sub.add_parser("optimize", help="noise/Fock optimization reports (JSON)")
-    p.add_argument("--phi", type=finite_float, help="single-phase report")
-    p.add_argument("--scan-phi", help="phi grid start:stop:count")
-    p.add_argument(
+    one = p.add_mutually_exclusive_group(required=True)
+    one.add_argument("--phi", type=finite_float, help="single-phase report")
+    one.add_argument("--scan-phi", help="phi grid start:stop:count")
+    one.add_argument(
         "--crossover",
         action="store_true",
         help="locate the window where noise and Fock inputs both beat the laser",
@@ -557,7 +539,7 @@ def main(argv: list[str] | None = None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
         return code
-    except ValueError as exc:  # UsageError and flag-value validation errors
+    except ValueError as exc:  # UsageError and the library's value-domain errors
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:  # e.g. `multiphoton verify | head -1`

@@ -112,7 +112,7 @@ def _expansion_plan(n: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, .
 
     * ``s``: the exponent matrix (K x N, one pattern per row, table order);
     * ``take``: flat indices into an N x (N+1) per-port table T, stored
-      port-major (N x K), so that ``T.take(take)[i, k] == T[i, s[k, i]]``
+      port-major (N x K), so that ``T.ravel()[take][i, k] == T[i, s[k, i]]``
       and the product over ports runs along the outer axis;
     * ``shifts[k]`` (N x 2K_k): the shift maps of degree k on a (2, K_k)
       stack of coefficient vectors, flattened.  Row j sends each degree-k
@@ -126,7 +126,6 @@ def _expansion_plan(n: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, .
         raise ValueError(f"port count must be in 1..{MAX_PORTS}, got {n}")
     patterns = _compositions(n)
     s = patterns[n]
-    s.flags.writeable = False
     radix = (n + 1) ** np.arange(n - 1, -1, -1)
     codes = [p @ radix for p in patterns]
     shifts = []
@@ -134,6 +133,9 @@ def _expansion_plan(n: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, .
         to = np.searchsorted(codes[k + 1], codes[k] + radix[:, None])
         shifts.append(np.concatenate((to, to + len(codes[k + 1])), axis=1))
     take = np.ascontiguousarray((np.arange(n) * (n + 1) + s).T)
+    # Every caller shares these arrays, so none of them may be written to.
+    for array in (s, take, *shifts):
+        array.flags.writeable = False
     return s, take, tuple(shifts)
 
 
@@ -200,7 +202,8 @@ def _pattern_sum(stats: Sequence[SourceStats], weights: np.ndarray) -> float:
                 f"but g({s[k, i]}) is required"
             )
     table *= means[:, None] ** np.arange(n + 1)
-    return float(weights @ table.take(take).prod(axis=0))
+    # Indexing reads the read-only take in place; ndarray.take would copy it.
+    return float(weights @ table.ravel()[take].prod(axis=0))
 
 
 def _check_ports(circuit: Circuit, ensemble: InputEnsemble) -> None:

@@ -80,6 +80,10 @@ def permanent(matrix) -> complex:
     * against Per(x y^T) = n! prod(x) prod(y), unit-modulus x and y with
       n = 10..20: worst relative gap measured 1.1e-15 over 110 pairs;
       asserted at 1e-12;
+    * against Glynn's formula run exactly in Python ints on the same float
+      matrices, complex Gaussian matrices: worst relative gap measured
+      2.5e-14 over 180 matrices with n = 9..14 and 4.2e-15 over 10 with
+      n = 15..16; asserted at 1e-13 for three matrices at each n = 9..14;
     * Per(J_n) = n! exactly for the all-ones J_n up to n = 12.
     """
     m = as_complex_matrix(matrix)

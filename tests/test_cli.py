@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from multiphoton import cli, circuits, linalg, sources
+from multiphoton import cli, circuits, coincidence, linalg, sources
 from multiphoton.cli import (
     UsageError,
     load_circuit_json,
@@ -21,6 +21,14 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cli_rejected(capsys, *argv):
+    """Run argv on which argparse exits; return its exit code, stdout and stderr."""
+    with pytest.raises(SystemExit) as info:
+        cli.main(list(argv))
+    captured = capsys.readouterr()
+    return info.value.code, captured.out, captured.err
 
 
 def read_csv(text):
@@ -150,14 +158,17 @@ def test_hom_source_flag(capsys):
 
 
 def test_hom_requires_some_input(capsys):
-    code, _, err = run_cli(capsys, "hom", "--R", "0.5")
+    code, out, err = run_cli_rejected(capsys, "hom", "--R", "0.5")
     assert code == 2
-    assert "needs" in err
+    assert out == ""
+    assert all(flag in err for flag in ("--g2", "--source", "--scan-g2"))
 
 
 def test_hom_rejects_bad_reflectance(capsys):
-    code, _, _ = run_cli(capsys, "hom", "--R", "1.5", "--g2", "1")
+    code, out, err = run_cli(capsys, "hom", "--R", "1.5", "--g2", "1")
     assert code == 2
+    assert out == ""
+    assert "reflectance must be in [0, 1]" in err
 
 
 def test_hom_rejects_negative_g2(capsys):
@@ -241,12 +252,27 @@ def test_oversized_grid_is_a_usage_error(capsys, argv):
     ],
 )
 def test_non_finite_float_flag_is_a_usage_error(capsys, argv):
-    with pytest.raises(SystemExit) as info:
-        cli.main(argv)
-    captured = capsys.readouterr()
-    assert info.value.code == 2
-    assert captured.out == ""
-    assert "must be finite" in captured.err
+    code, out, err = run_cli_rejected(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "must be finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hom", "--g2", "1", "--scan-g2", "0:1:3"],
+        ["hom", "--source", "thermal", "--g2", "0"],
+        ["optimize", "--phi", "1", "--crossover"],
+        ["optimize", "--phi", "1", "--scan-phi", "0:1:3"],
+        ["coinc", "--dft", "3", "--beamsplitter", "0.5", "--sources", "laser"],
+    ],
+)
+def test_conflicting_flags_are_a_usage_error(capsys, argv):
+    code, out, err = run_cli_rejected(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert all(flag in err for flag in argv if flag.startswith("--") and flag != "--sources")
 
 
 def test_unwritable_output_is_a_usage_error(capsys, tmp_path):
@@ -394,10 +420,33 @@ def test_coinc_source_count_mismatch(capsys):
 
 
 def test_coinc_requires_exactly_one_circuit(capsys):
-    code, _, err = run_cli(
-        capsys, "coinc", "--dft", "3", "--beamsplitter", "0.5", "--sources", "laser"
-    )
+    for circuit_flags in ([], ["--dft", "3", "--beamsplitter", "0.5"]):
+        code, out, err = run_cli_rejected(capsys, "coinc", *circuit_flags, "--sources", "laser")
+        assert code == 2
+        assert out == ""
+        assert all(
+            flag in err for flag in ("--dft", "--beamsplitter", "--symmetric", "--circuit")
+        )
+
+
+@pytest.mark.parametrize("n", [1, coincidence.MAX_PORTS + 1, 3000])
+def test_coinc_dft_outside_the_port_range_builds_nothing(capsys, monkeypatch, n):
+    monkeypatch.setattr(circuits, "dft", lambda n: pytest.fail(f"dft({n}) was built"))
+    code, out, err = run_cli_rejected(capsys, "coinc", "--dft", str(n), "--sources", "laser")
     assert code == 2
+    assert out == ""
+    assert "--dft" in err
+
+
+def test_coinc_dft_port_range(capsys):
+    code, out, _ = run_cli(
+        capsys, "coinc", "--dft", str(coincidence.MAX_PORTS), "--sources", "thermal"
+    )
+    assert code == 0
+    assert float(read_csv(out)[0]["p_id"]) == pytest.approx(1.0, abs=1e-12)
+    code, out, _ = run_cli_rejected(capsys, "coinc", "--help")
+    assert code == 0
+    assert f"2..{coincidence.MAX_PORTS}" in out
 
 
 # --- optimize ---------------------------------------------------------------------
@@ -420,8 +469,10 @@ def test_optimize_crossover(capsys):
 
 
 def test_optimize_requires_mode(capsys):
-    code, _, err = run_cli(capsys, "optimize")
+    code, out, err = run_cli_rejected(capsys, "optimize")
     assert code == 2
+    assert out == ""
+    assert all(flag in err for flag in ("--phi", "--scan-phi", "--crossover"))
 
 
 # --- verify -----------------------------------------------------------------------

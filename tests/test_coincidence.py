@@ -48,6 +48,16 @@ def test_exponent_tuples_are_read_only():
         enumerate_exponent_tuples(3)[0, 0] = 1
 
 
+def test_plan_index_maps_are_read_only():
+    # every table build and pattern sum at this N shares these arrays
+    _, take, shifts = coincidence._expansion_plan(3)
+    with pytest.raises(ValueError):
+        take[0, 0] = 0
+    for k in range(3):
+        with pytest.raises(ValueError):
+            shifts[k][0, 0] = 0
+
+
 def test_exponent_tuples_range():
     with pytest.raises(ValueError):
         enumerate_exponent_tuples(0)

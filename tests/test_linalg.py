@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -75,6 +76,68 @@ def test_permanent_zero_row_vanishes():
     m = random_complex(rng, 5)
     m[2, :] = 0
     assert abs(linalg.permanent(m)) == 0.0
+
+
+# --- exact Glynn reference -------------------------------------------------------
+
+GLYNN_EXACT_TOL = 1e-13  # relative, the kernel against its exact evaluation
+
+
+def exact_permanent(m):
+    """Per(m) of a complex float matrix, exactly, as Fractions (re, im).
+
+    Every float is an integer over a power of 2, so scaling all entries by
+    the largest denominator q makes m = a / q with a Gaussian-integer
+    matrix, and Per(m) = Per(a) / q^n.  Per(a) is Glynn's formula run in
+    Python ints.  The sign vectors (delta_1 = +1) are visited in Gray-code
+    order: step k flips delta_j, j the lowest set bit of k, so every row sum
+    moves by 2 a_ij and the sign of the term alternates."""
+    n = m.shape[0]
+    q = max(x.as_integer_ratio()[1] for x in (*m.real.flat, *m.imag.flat))
+
+    def fixed(x):
+        p, d = x.as_integer_ratio()
+        return p * (q // d)
+
+    re = [[fixed(x) for x in row] for row in m.real.tolist()]
+    im = [[fixed(x) for x in row] for row in m.imag.tolist()]
+    sum_re, sum_im = [sum(row) for row in re], [sum(row) for row in im]
+    signs = [1] * n
+    total_re = total_im = 0
+    for k in range(2 ** (n - 1)):
+        if k:
+            j = (k & -k).bit_length()
+            signs[j] = s = -signs[j]
+            for i in range(n):
+                sum_re[i] += 2 * s * re[i][j]
+                sum_im[i] += 2 * s * im[i][j]
+        pr, pi = 1, 0
+        for x, y in zip(sum_re, sum_im):
+            pr, pi = pr * x - pi * y, pr * y + pi * x
+        sign = -1 if k & 1 else 1
+        total_re += sign * pr
+        total_im += sign * pi
+    scale = 2 ** (n - 1) * q**n
+    return Fraction(total_re, scale), Fraction(total_im, scale)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_exact_permanent_matches_naive_on_integer_matrices(n):
+    # small Gaussian integers keep every naive product and sum exact in floats
+    rng = np.random.default_rng(n)
+    m = (rng.integers(-3, 4, (n, n)) + 1j * rng.integers(-3, 4, (n, n))).astype(complex)
+    naive = linalg.permanent_naive(m)
+    assert exact_permanent(m) == (Fraction(naive.real), Fraction(naive.imag))
+
+
+@pytest.mark.parametrize("n", range(9, 15))
+def test_permanent_matches_exact_glynn(n):
+    for seed in range(3):
+        m = random_complex(np.random.default_rng([n, seed]), n)
+        exact_re, exact_im = exact_permanent(m)
+        per = linalg.permanent(m)
+        gap = math.hypot(Fraction(per.real) - exact_re, Fraction(per.imag) - exact_im)
+        assert gap <= GLYNN_EXACT_TOL * math.hypot(exact_re, exact_im)
 
 
 # --- permanent_naive ---------------------------------------------------------
