@@ -180,9 +180,6 @@ def cmd_hom(args) -> int:
         grid = np.array([stats.g2])
     else:
         grid = np.array([args.g2])
-    if not np.all((grid >= 0) & (grid <= sources.G_CAP)):
-        raise UsageError(f"g2 must stay within [0, {sources.G_CAP:g}]")
-
     point = visibility_of(coincidence.coincidence_hom, args.R, grid)
     lines = ["param,g2,p_id,p_dist,v"]
     for g2, *values in zip(grid, point.p_id, point.p_dist, point.v):

@@ -25,11 +25,14 @@ run over M = U and M = V at once.  A circuit's table holds the two float
 arrays w_id = |c_U(s)|^2 and w_dist = Re c_V(s), in the order of
 ``enumerate_exponent_tuples(N)``; a pattern sum is then one gather of a
 per-port table T[i, m] = n_i^m g_i^(m), a product over ports and a dot
-product with the weights.  Against the same expansion run exactly in
-Python ints on the same float matrices, the table entries differ by at
-most 5.6e-17 (absolute) on dft(N), N = 2..8, and by at most 2.2e-16 over
-20 Haar circuits at each N = 2..8; ``tests/test_weight_table.py`` asserts
-<= 1e-15.
+product with the weights.  The products do not depend on the weights, so
+the id and dist sums of one ensemble share one product vector: the latest
+ensemble's is memoised, and the second sum costs one dot product.
+
+Against the same expansion run exactly in Python ints on the same float
+matrices, the table entries differ by at most 5.6e-17 (absolute) on
+dft(N), N = 2..8, and by at most 2.2e-16 over 20 Haar circuits at each
+N = 2..8; ``tests/test_weight_table.py`` asserts <= 1e-15.
 
 Besides the general engines this module carries independent closed forms
 used for cross-checking: the explicit 3-port expansion with per-port
@@ -49,7 +52,7 @@ import numpy as np
 
 from multiphoton import linalg
 from multiphoton.circuits import Circuit
-from multiphoton.sources import SourceStats
+from multiphoton.sources import G_CAP, SourceStats
 
 MAX_PORTS = 8
 
@@ -169,8 +172,30 @@ def _weights(circuit: Circuit) -> tuple[np.ndarray, np.ndarray]:
 
 
 def clear_permanent_cache() -> None:
-    """Drop every circuit's weight table (the per-N index plans stay)."""
+    """Drop every circuit's weight table and the memoised pattern products
+    (the id and dist sums of one ensemble share one product vector; the
+    per-N index plans stay)."""
     _weights_cached.cache_clear()
+    _port_products.cache_clear()
+
+
+# Callers sum one ensemble with w_id and then with w_dist, so one entry,
+# keyed by the stats tuple (SourceStats compare by value), serves the second
+# sum and holds a single K-vector.
+
+@lru_cache(maxsize=1)
+def _port_products(stats: tuple[SourceStats, ...]) -> np.ndarray:
+    """prod_i n_i^{s_ki} g_i^(s_ki) for every pattern s_k, as a read-only
+    K-vector in table order; orders a port does not define count as 0."""
+    n = len(stats)
+    take = _expansion_plan(n)[1]
+    table = np.array([stat.g[: n + 1] + (0.0,) * (n - stat.max_order) for stat in stats], dtype=float)
+    means = np.array([stat.mean_n for stat in stats])
+    table *= means[:, None] ** np.arange(n + 1)
+    # Indexing reads the read-only take in place; ndarray.take would copy it.
+    products = table.ravel()[take].prod(axis=0)
+    products.flags.writeable = False
+    return products
 
 
 def _pattern_sum(stats: Sequence[SourceStats], weights: np.ndarray) -> float:
@@ -179,15 +204,13 @@ def _pattern_sum(stats: Sequence[SourceStats], weights: np.ndarray) -> float:
     A pattern of nonzero weight that needs an order some port does not
     define is an error, unless that port or a lit port before it has zero
     mean: ports are examined in order and a dark port ends the term at 0.
+    The rule depends on the weights, so it is applied on every call, also
+    when the products come from the memo.
     """
     n = len(stats)
-    s, take, _ = _expansion_plan(n)
-    table = np.zeros((n, n + 1))
-    for i, stat in enumerate(stats):
-        g = stat.g[: n + 1]
-        table[i, : len(g)] = g
-    means = np.array([stat.mean_n for stat in stats])
     if min(stat.max_order for stat in stats) < n:
+        s = _expansion_plan(n)[0]
+        means = np.array([stat.mean_n for stat in stats])
         orders = np.array([stat.max_order for stat in stats])
         dead = (s > 0) & (means == 0)
         missing = (s > orders) & ~dead
@@ -201,9 +224,7 @@ def _pattern_sum(stats: Sequence[SourceStats], weights: np.ndarray) -> float:
                 f"source statistics defined only to order {stats[i].max_order}, "
                 f"but g({s[k, i]}) is required"
             )
-    table *= means[:, None] ** np.arange(n + 1)
-    # Indexing reads the read-only take in place; ndarray.take would copy it.
-    return float(weights @ table.ravel()[take].prod(axis=0))
+    return float(weights @ _port_products(tuple(stats)))
 
 
 def _check_ports(circuit: Circuit, ensemble: InputEnsemble) -> None:
@@ -330,11 +351,14 @@ def _check_autocorrelations(g2, g3) -> None:
 def coincidence_hom(r: float, g2, indistinguishable: bool = True):
     """Normalized two-fold coincidence on a beamsplitter of reflectance R:
     1 - 2RT(2 - g2) for indistinguishable inputs, 1 - 2RT(1 - g2) for
-    distinguishable ones."""
+    distinguishable ones.  g2 must lie in [0, G_CAP], the cap on source
+    autocorrelations."""
     if not 0 <= r <= 1:
         raise ValueError(f"reflectance must be in [0, 1], got {r}")
     if np.any(np.less(g2, 0)):
-        raise ValueError(f"g2 must be >= 0, got {g2}")
+        raise ValueError(f"g2 must be >= 0, got {np.nanmin(g2)}")
+    if not np.all(np.less_equal(g2, G_CAP)):  # also false for NaN
+        raise ValueError(f"g2 must stay within [0, {G_CAP:g}]")
     rt2 = 2 * r * (1 - r)
     return 1 - rt2 * (2 - g2) if indistinguishable else 1 - rt2 * (1 - g2)
 

@@ -35,7 +35,7 @@ class SourceStats:
         if self.g[0] != 1.0 or self.g[1] != 1.0:
             raise ValueError("g[0] and g[1] must both equal 1")
         for m, value in enumerate(self.g):
-            if not (math.isfinite(value) and 0 <= value <= G_CAP):
+            if not 0 <= value <= G_CAP:
                 raise ValueError(f"g({m}) = {value} outside [0, {G_CAP:g}]")
 
     @property

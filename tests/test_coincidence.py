@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from functools import partial
 
 import numpy as np
@@ -129,6 +130,19 @@ def test_hom_closed_form_matches_engines():
 
 def test_hom_perfect_suppression():
     assert coincidence_hom(0.5, 0.0, True) == pytest.approx(0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "g2", [1e13, math.nan, np.array([1.0, 1e13]), np.array([0.5, math.nan])]
+)
+def test_hom_rejects_g2_above_the_source_cap_or_nan(g2):
+    with pytest.raises(ValueError, match=re.escape("g2 must stay within [0, 1e+12]")):
+        coincidence_hom(0.5, g2)
+
+
+def test_hom_names_the_most_negative_g2():
+    with pytest.raises(ValueError, match=r"^g2 must be >= 0, got -0\.5$"):
+        coincidence_hom(0.5, np.array([1.0, -0.5, math.nan, -0.25, 2.0]))
 
 
 # --- explicit 3-port expansion ---------------------------------------------------

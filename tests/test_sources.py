@@ -143,6 +143,12 @@ def test_source_stats_validates_convention():
         sources.SourceStats(-1.0, (1.0, 1.0, 1.0))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0, 1.0001e12])
+def test_source_stats_rejects_g_outside_the_cap(value):
+    with pytest.raises(ValueError, match=r"g\(2\) = .* outside \[0, 1e\+12\]"):
+        sources.SourceStats(1.0, (1.0, 1.0, value))
+
+
 # --- classification -----------------------------------------------------------
 
 def test_classify_thermal():

@@ -341,3 +341,47 @@ def test_take_is_port_major(n):
     assert take.shape == (n, len(s))
     assert take.flags.c_contiguous
     assert np.array_equal(table.take(take), table[np.arange(n)[:, None], s.T])
+
+
+# --- the memoised pattern products -----------------------------------------------
+
+def test_memoised_products_match_cold_sums_bit_for_bit():
+    """The id and dist sums share one product vector per ensemble; every
+    result equals the same call made with every cache cleared."""
+    rng = np.random.default_rng(17)
+    circuit = circuits.custom(haar(17, 7))
+    a = InputEnsemble(stats=tuple(_lit_stats(rng, 7) for _ in range(7)))
+    b = InputEnsemble(stats=tuple(_lit_stats(rng, 7) for _ in range(7)))
+    calls = [(a, 0), (b, 0), (a, 1), (b, 1), (b, 0)]
+    warm = [ENGINES[which](circuit, ens).p_raw.hex() for ens, which in calls]
+    cold = []
+    for ens, which in calls:
+        coincidence.clear_permanent_cache()
+        cold.append(ENGINES[which](circuit, ens).p_raw.hex())
+    assert warm == cold
+
+
+def test_memoised_products_still_check_missing_orders():
+    """Products memoised by a sum that needed no missing order must not let
+    a later sum of the same ensemble skip the check."""
+    ens = InputEnsemble(stats=(sources.laser_stats(), SHORT, sources.laser_stats()))
+    identity = circuits.custom(np.eye(3))  # only (1, 1, 1) has weight
+    haar3 = circuits.custom(haar(3, 3))
+    message = r"^source statistics defined only to order 1, but g\(2\) is required$"
+    coincidence.clear_permanent_cache()
+    for engine in ENGINES:
+        with pytest.raises(ValueError, match=message):
+            engine(haar3, ens)
+        assert engine(identity, ens).p_raw == 1.0
+        assert coincidence._port_products.cache_info().currsize == 1
+        with pytest.raises(ValueError, match=message):
+            engine(haar3, ens)
+
+
+def test_memoised_products_are_read_only():
+    stats = uniform_ensemble(3, sources.thermal_stats()).stats
+    products = coincidence._port_products(stats)
+    assert products.shape == (len(enumerate_exponent_tuples(3)),)
+    with pytest.raises(ValueError):
+        products[0] = 1.0
+    assert coincidence._port_products(stats) is products
