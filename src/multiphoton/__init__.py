@@ -28,8 +28,6 @@ from multiphoton.linalg import (
 )
 from multiphoton.sources import (
     SourceStats,
-    StatClass,
-    classify,
     custom_stats,
     diluted_laser_stats,
     fock_stats,
@@ -57,11 +55,9 @@ __all__ = [
     "HAVE_COMPILED_KERNEL",
     "InputEnsemble",
     "SourceStats",
-    "StatClass",
     "VisibilityPoint",
     "beamsplitter",
     "check_unitary",
-    "classify",
     "coincidence_dft3",
     "coincidence_dist_general",
     "coincidence_hom",

@@ -10,6 +10,7 @@ laser, vacuum/1/2-photon mixtures).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 G_CAP = 1e12  # guard against silent overflow in g2 -> infinity scans
@@ -57,23 +58,6 @@ class SourceStats:
         return self.g[m]
 
 
-@dataclass(frozen=True)
-class StatClass:
-    """Statistical classification of a source from g^(2) and g^(3).
-
-    ``classical_consistent`` is the Cauchy-Schwarz predicate
-    g3 >= g2^2 - 1e-12, which classical wave theory cannot violate (note
-    Fock states saturate it, so nonclassicality is flagged separately via
-    g2 < 1).  ``gaussian_pure_consistent`` is the pure-Gaussian-state
-    predicate g3 >= (2 - 3*sqrt(g2))^2 - 1e-12.
-    """
-
-    classification: str  # "sub-Poissonian" | "Poissonian" | "super-Poissonian"
-    classical_consistent: bool
-    gaussian_pure_consistent: bool
-    nonclassical: bool
-
-
 def _with_prefix(values: list[float], mean_n: float) -> SourceStats:
     return SourceStats(mean_n, (1.0, 1.0, *values))
 
@@ -83,6 +67,9 @@ def fock_stats(n: int, max_order: int = 3) -> SourceStats:
 
     g^(2) = 1 - 1/n and g^(3) = (1 - 1/n)(1 - 2/n).
     """
+    if not isinstance(n, numbers.Integral):
+        raise ValueError(f"photon number must be an integer, got {n!r}")
+    n = int(n)
     if n < 1:
         raise ValueError(f"photon number must be >= 1, got {n}")
     if max_order < 1:
@@ -138,23 +125,3 @@ def custom_stats(g2: float, g3: float | None = None, mean_n: float = 1.0) -> Sou
     """Source specified directly by its low-order autocorrelations."""
     values = [float(g2)] if g3 is None else [float(g2), float(g3)]
     return _with_prefix(values, mean_n)
-
-
-def classify(stats: SourceStats) -> StatClass:
-    """Classify a source against the Poissonian, classical-wave, and
-    pure-Gaussian benchmarks (needs g defined to order 3)."""
-    if stats.max_order < 3:
-        raise ValueError("classification requires g defined to order 3")
-    g2, g3 = stats.g[2], stats.g[3]
-    if g2 < 1:
-        kind = "sub-Poissonian"
-    elif g2 > 1:
-        kind = "super-Poissonian"
-    else:
-        kind = "Poissonian"
-    return StatClass(
-        classification=kind,
-        classical_consistent=g3 >= g2**2 - 1e-12,
-        gaussian_pure_consistent=g3 >= (2 - 3 * math.sqrt(g2)) ** 2 - 1e-12,
-        nonclassical=g2 < 1,
-    )

@@ -5,6 +5,8 @@ distinguishable limit of the same source, V = 1 - P_id / P_dist.
 Positive V is a coincidence dip (destructive interference), negative V a
 bump; the normalization cancels the trivial bunching background so that
 sources with very different photon statistics can be compared.
+The bound and family curves are visibility() of the closed forms at each
+family's g; the ratio in each docstring is what that evaluates to.
 """
 
 from __future__ import annotations
@@ -14,6 +16,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+from multiphoton.coincidence import coincidence_dft3, coincidence_hom
+from multiphoton.sources import fock_stats, vac12_mixture_stats
 
 EPS_DENOMINATOR = 1e-12
 
@@ -57,12 +62,7 @@ def v2_closed(r: float, g2: float) -> float:
     Strictly decreasing in g2 (dV/dg2 = -V^2): for two ports, statistical
     noise can only wash out the dip.
     """
-    if not 0 <= r <= 1:
-        raise ValueError(f"reflectance must be in [0, 1], got {r}")
-    if g2 < 0:
-        raise ValueError(f"g2 must be >= 0, got {g2}")
-    rt2 = 2 * r * (1 - r)
-    return rt2 / (rt2 * g2 + 1 - rt2)
+    return visibility_of(coincidence_hom, r, g2).v
 
 
 def v3_dft(g2: float, g3: float) -> float:
@@ -71,9 +71,7 @@ def v3_dft(g2: float, g3: float) -> float:
     Negative below g2 = 1/6 (coincidence bump), down to -0.5 for single
     photons; positive and non-monotonic in the noisy regime.
     """
-    if g2 < 0 or g3 < 0:
-        raise ValueError("autocorrelations must be >= 0")
-    return (6 * g2 - 1) / (g3 + 6 * g2 + 2)
+    return visibility_of(coincidence_dft3, g2, g3).v
 
 
 def v3_classical_bound(g2: float) -> float:
@@ -90,17 +88,15 @@ def v3_gaussian_bound(g2: float) -> float:
     """
     if g2 < 0:
         raise ValueError(f"g2 must be >= 0, got {g2}")
-    return (6 * g2 - 1) / ((2 - 3 * math.sqrt(g2)) ** 2 + 6 * g2 + 2)
+    return v3_dft(g2, (2 - 3 * math.sqrt(g2)) ** 2)
 
 
 def v3_fock(n: int) -> float:
     """Balanced 3-port visibility of n-photon inputs: v3_dft at
     g2 = 1 - 1/n, g3 = (1 - 1/n)(1 - 2/n); approaches the Poissonian 5/9
     from below as n grows."""
-    if n < 1:
-        raise ValueError(f"photon number must be >= 1, got {n}")
-    g2 = 1 - 1 / n
-    return v3_dft(g2, g2 * (1 - 2 / n))
+    stats = fock_stats(n)
+    return v3_dft(stats.g2, stats.g3)
 
 
 def v3_mixture(p: float, q: float) -> float:
@@ -109,9 +105,5 @@ def v3_mixture(p: float, q: float) -> float:
     With x = 12(1-q) / ((1-p)(2-q)^2) this is (x - 1)/(x + 2); sweeping p
     along q = 1 - p covers the whole range (-0.5, 1).
     """
-    if not 0 <= p < 1:
-        raise ValueError(f"vacuum probability must be in [0, 1), got {p}")
-    if not 0 <= q <= 1:
-        raise ValueError(f"single-photon branching must be in [0, 1], got {q}")
-    x = 12 * (1 - q) / ((1 - p) * (2 - q) ** 2)
-    return (x - 1) / (x + 2)
+    stats = vac12_mixture_stats(p, q)
+    return v3_dft(stats.g2, stats.g3)

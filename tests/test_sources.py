@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,6 +36,18 @@ def test_fock_orders_above_n_vanish():
 def test_fock_rejects_nonpositive():
     with pytest.raises(ValueError):
         sources.fock_stats(0)
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0, "2", None])
+def test_fock_rejects_non_integral_photon_number(n):
+    with pytest.raises(ValueError, match="photon number must be an integer"):
+        sources.fock_stats(n)
+
+
+def test_fock_accepts_numpy_integers():
+    assert sources.fock_stats(np.int64(4)) == sources.fock_stats(4)
+    with pytest.raises(ValueError, match="photon number must be >= 1"):
+        sources.fock_stats(np.int32(0))
 
 
 def test_laser_all_orders_poissonian():
@@ -147,44 +160,3 @@ def test_source_stats_validates_convention():
 def test_source_stats_rejects_g_outside_the_cap(value):
     with pytest.raises(ValueError, match=r"g\(2\) = .* outside \[0, 1e\+12\]"):
         sources.SourceStats(1.0, (1.0, 1.0, value))
-
-
-# --- classification -----------------------------------------------------------
-
-def test_classify_thermal():
-    cls = sources.classify(sources.thermal_stats())
-    assert cls.classification == "super-Poissonian"
-    assert cls.classical_consistent  # 6 >= 4
-    assert not cls.nonclassical
-
-
-def test_classify_single_photon_boundary():
-    # Fock states satisfy the Cauchy-Schwarz predicate with equality
-    # (0 >= 0); their nonclassicality shows up in the g2 < 1 marker.
-    cls = sources.classify(sources.fock_stats(1))
-    assert cls.classification == "sub-Poissonian"
-    assert cls.classical_consistent
-    assert cls.nonclassical
-
-
-def test_classify_laser():
-    cls = sources.classify(sources.laser_stats())
-    assert cls.classification == "Poissonian"
-    assert cls.classical_consistent
-
-
-def test_classify_gaussian_predicate():
-    cls = sources.classify(sources.custom_stats(0.3, 0.2))
-    # (2 - 3*sqrt(0.3))^2 = 0.1273... <= 0.2
-    assert cls.gaussian_pure_consistent
-    cls2 = sources.classify(sources.custom_stats(0.3, 0.05))
-    assert not cls2.gaussian_pure_consistent
-
-
-@given(st.floats(0, 5), st.floats(0, 25), st.floats(0, 10))
-@settings(max_examples=100)
-def test_classify_monotone_in_g3(g2, g3, bump):
-    base = sources.classify(sources.custom_stats(g2, g3))
-    raised = sources.classify(sources.custom_stats(g2, g3 + bump))
-    if base.classical_consistent:
-        assert raised.classical_consistent

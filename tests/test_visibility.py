@@ -203,3 +203,57 @@ def test_closed_forms_match_engine_visibilities():
             assert visibility(p_id, p_dist).v == pytest.approx(
                 v2_closed(r, g2), abs=1e-12
             )
+
+
+def test_helpers_match_their_ratio_forms():
+    # The helpers form V through visibility() of the closed forms; the
+    # hand-derived ratios below are a second, independent derivation.
+    for r in np.linspace(0, 1, 21):
+        rt2 = 2 * r * (1 - r)
+        for g2 in (0.0, 1e-3, 0.5, 1.0, 1.9, 10.0, 1e6, 1e12):
+            assert v2_closed(r, g2) == pytest.approx(
+                rt2 / (rt2 * g2 + 1 - rt2), rel=0, abs=1e-15
+            )
+    g2_grid = np.concatenate([np.linspace(0, 5, 51), np.geomspace(1e-6, 1e9, 31)])
+    for g2 in g2_grid:
+        for g3 in (0.0, 0.1, g2 * g2, 6.0, 1e4):
+            assert v3_dft(g2, g3) == pytest.approx(
+                (6 * g2 - 1) / (g3 + 6 * g2 + 2), rel=0, abs=1e-15
+            )
+        assert v3_gaussian_bound(g2) == pytest.approx(
+            (6 * g2 - 1) / ((2 - 3 * math.sqrt(g2)) ** 2 + 6 * g2 + 2), rel=0, abs=1e-15
+        )
+    for n in range(1, 2001):
+        g2 = 1 - 1 / n
+        g3 = g2 * (1 - 2 / n)
+        assert v3_fock(n) == pytest.approx(
+            (6 * g2 - 1) / (g3 + 6 * g2 + 2), rel=0, abs=1e-15
+        )
+    for p in (0.0, 0.1, 0.5, 0.9, 0.999, 1 - 1e-9):
+        for q in np.linspace(0, 1, 11):
+            x = 12 * (1 - q) / ((1 - p) * (2 - q) ** 2)
+            assert v3_mixture(p, q) == pytest.approx((x - 1) / (x + 2), rel=0, abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "helper, args",
+    [
+        (v2_closed, (0.5, math.nan)),
+        (v3_dft, (math.nan, 1.0)),
+        (v3_dft, (1.0, math.nan)),
+        (v3_classical_bound, (math.nan,)),
+        (v3_gaussian_bound, (math.nan,)),
+    ],
+)
+def test_helpers_reject_nan(helper, args):
+    with pytest.raises(ValueError):
+        helper(*args)
+
+
+def test_helpers_reject_what_their_closed_forms_and_sources_reject():
+    with pytest.raises(ValueError, match=r"g2 must stay within \[0, 1e\+12\]"):
+        v2_closed(0.5, 2e12)
+    with pytest.raises(ValueError, match="photon number must be an integer"):
+        v3_fock(2.5)
+    with pytest.raises(ValueError, match=r"g\(2\) = .* outside"):
+        v3_mixture(1 - 1e-13, 0.0)
