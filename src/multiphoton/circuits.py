@@ -9,37 +9,34 @@ shared and used as cache keys safely.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from multiphoton import linalg
 
-ANALYTIC_TOL = 1e-12
 CUSTOM_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
 class Circuit:
-    """N x N unitary with construction provenance."""
+    """N x N unitary, read-only."""
 
     u: np.ndarray
-    kind: str  # "dft" | "symmetric" | "beamsplitter" | "custom"
-    params: dict = field(default_factory=dict)
 
     @property
     def n(self) -> int:
         return self.u.shape[0]
 
 
-def _finish(u: np.ndarray, kind: str, params: dict, tol: float) -> Circuit:
+def _finish(u: np.ndarray, kind: str, tol: float) -> Circuit:
     ok, dev = linalg.check_unitary(u, tol)
     if not ok:
         raise ValueError(
             f"{kind} circuit is not unitary: max |U†U - I| = {dev:.3e} > {tol:g}"
         )
     u.flags.writeable = False
-    return Circuit(u=u, kind=kind, params=params)
+    return Circuit(u=u)
 
 
 def dft(n: int) -> Circuit:
@@ -52,7 +49,7 @@ def dft(n: int) -> Circuit:
         raise ValueError(f"DFT needs at least 2 ports, got {n}")
     idx = np.arange(n)
     u = np.exp(2j * np.pi * np.outer(idx, idx) / n) / np.sqrt(n)
-    return _finish(u, "dft", {"n": n}, ANALYTIC_TOL)
+    return _finish(u, "dft", linalg.UNITARY_TOL)
 
 
 def symmetric(phi: float) -> Circuit:
@@ -61,7 +58,7 @@ def symmetric(phi: float) -> Circuit:
     Diagonal alpha = (2 + e^{i phi})/3 and off-diagonal
     beta = (-1 + e^{i phi})/3.  phi = 0 is the identity; phi = 2*pi/3 and
     4*pi/3 are balanced (|alpha| = |beta| = 1/sqrt(3)).  phi is wrapped to
-    [0, 2*pi) for scan bookkeeping.
+    [0, 2*pi) before the matrix is built.
     """
     phi = float(phi) % (2 * math.pi)
     e = complex(math.cos(phi), math.sin(phi))
@@ -69,7 +66,7 @@ def symmetric(phi: float) -> Circuit:
     beta = (-1 + e) / 3
     u = np.full((3, 3), beta, dtype=np.complex128)
     np.fill_diagonal(u, alpha)
-    return _finish(u, "symmetric", {"phi": phi}, ANALYTIC_TOL)
+    return _finish(u, "symmetric", linalg.UNITARY_TOL)
 
 
 def beamsplitter(r: float) -> Circuit:
@@ -85,7 +82,7 @@ def beamsplitter(r: float) -> Circuit:
         [[math.sqrt(t), 1j * math.sqrt(r)], [1j * math.sqrt(r), math.sqrt(t)]],
         dtype=np.complex128,
     )
-    return _finish(u, "beamsplitter", {"r": float(r)}, ANALYTIC_TOL)
+    return _finish(u, "beamsplitter", linalg.UNITARY_TOL)
 
 
 def custom(matrix) -> Circuit:
@@ -94,4 +91,4 @@ def custom(matrix) -> Circuit:
     u = linalg.as_complex_matrix(matrix)
     if u.shape[0] != u.shape[1]:
         raise ValueError(f"circuit matrix must be square, got {u.shape}")
-    return _finish(u.copy(), "custom", {}, CUSTOM_TOL)
+    return _finish(u.copy(), "custom", CUSTOM_TOL)

@@ -242,7 +242,7 @@ def _circuit_from_flags(args) -> circuits.Circuit:
 
 def _optimum_report(phi: float) -> dict:
     report = maximize_classical(phi)
-    fock = best_fock(phi, n_max=1000)
+    fock = best_fock(phi)
     return {
         "phi": phi,
         "g2_opt": report.argmax,

@@ -336,16 +336,18 @@ def coincidence_n3_explicit(
 # Each closed form broadcasts over numpy arrays of its parameters and gives
 # a float for floats.  Only an array phi goes through numpy's cos and
 # complex powers; any other call makes the same IEEE operations per element.
+# Each rejects a g outside [0, G_CAP], NaN included, as SourceStats does.
 
-def _check_autocorrelations(g2, g3) -> None:
-    """Reject a negative g2 or g3, or any negative entry of an array.  The
-    type test only picks the quicker path: np.less takes any argument."""
-    if type(g2) is float and type(g3) is float:
-        negative = g2 < 0 or g3 < 0
-    else:
-        negative = np.any(np.less(g2, 0)) or np.any(np.less(g3, 0))
-    if negative:
-        raise ValueError("autocorrelations must be >= 0")
+def _check_autocorrelations(**named) -> None:
+    """Reject a named g, float or array, with any entry outside [0, G_CAP];
+    NaN counts as outside.  A float in range takes the quick path."""
+    for name, g in named.items():
+        if type(g) is float and 0 <= g <= G_CAP:
+            continue
+        if np.any(np.less(g, 0)):
+            raise ValueError(f"{name} must be >= 0, got {np.nanmin(g)}")
+        if not np.all(np.less_equal(g, G_CAP)):  # also false for NaN
+            raise ValueError(f"{name} must stay within [0, {G_CAP:g}]")
 
 
 def coincidence_hom(r: float, g2, indistinguishable: bool = True):
@@ -355,10 +357,7 @@ def coincidence_hom(r: float, g2, indistinguishable: bool = True):
     autocorrelations."""
     if not 0 <= r <= 1:
         raise ValueError(f"reflectance must be in [0, 1], got {r}")
-    if np.any(np.less(g2, 0)):
-        raise ValueError(f"g2 must be >= 0, got {np.nanmin(g2)}")
-    if not np.all(np.less_equal(g2, G_CAP)):  # also false for NaN
-        raise ValueError(f"g2 must stay within [0, {G_CAP:g}]")
+    _check_autocorrelations(g2=g2)
     rt2 = 2 * r * (1 - r)
     return 1 - rt2 * (2 - g2) if indistinguishable else 1 - rt2 * (1 - g2)
 
@@ -368,7 +367,7 @@ def coincidence_dft3(g2, g3, indistinguishable: bool = True):
     symmetric inputs: g3/9 + 1/3, or g3/9 + 2*g2/3 + 2/9 when the inputs
     are distinguishable (the g2 interference terms vanish only in the
     indistinguishable case, so that result does not take g2's shape)."""
-    _check_autocorrelations(g2, g3)
+    _check_autocorrelations(g2=g2, g3=g3)
     if indistinguishable:
         return g3 / 9 + 1 / 3
     return g3 / 9 + 2 * g2 / 3 + 2 / 9
@@ -387,10 +386,10 @@ def coincidence_mismatch_n3(g2, g3, xi):
     reduce to the fully distinguishable / fully indistinguishable values
     at xi = 0 and xi = 2.
     """
-    _check_autocorrelations(g2, g3)
+    _check_autocorrelations(g2=g2, g3=g3)
     xi = np.asarray(xi, dtype=float)
     if not np.all((0 <= xi) & (xi <= 2)):
-        raise ValueError(f"overlap parameter must be in [0, 2], got {xi}")
+        raise ValueError("xi must stay within [0, 2]")
     first_leg = xi <= 1
     m = np.where(first_leg, xi, xi - 1)  # M23 on the first leg, M12 = M31 on the second
     p = np.where(
@@ -413,7 +412,7 @@ def coincidence_sym_phase(phi, g2, g3, indistinguishable: bool = True):
 
     Must agree with the general engines applied to the same circuit.
     """
-    _check_autocorrelations(g2, g3)
+    _check_autocorrelations(g2=g2, g3=g3)
     if isinstance(phi, (float, int)):
         e = complex(math.cos(phi), math.sin(phi))
     else:

@@ -38,6 +38,15 @@ OPTIMAL_NOISE_P = 6 / (1 + math.sqrt(109))
 
 GOLDEN = (math.sqrt(5) - 1) / 2
 
+# maximize_classical scans g2 in [G2_LO, G2_HI] on COARSE_POINTS log-spaced
+# values; golden_section_max then stops at a bracket of TOL, or after
+# MAX_ITERATIONS steps.  best_fock scans n = 1..FOCK_N_MAX.
+G2_LO, G2_HI = 1.0, 1e4
+COARSE_POINTS = 64
+TOL = 1e-10
+MAX_ITERATIONS = 200
+FOCK_N_MAX = 1000
+
 
 @dataclass
 class ScanResult:
@@ -77,11 +86,7 @@ class CrossoverReport:
 
 
 def golden_section_max(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = 1e-10,
-    max_iterations: int = 200,
+    f: Callable[[float], float], lo: float, hi: float
 ) -> tuple[float, float, int]:
     """Maximize a unimodal function on [lo, hi]; returns (x, f(x), iters)."""
     a, b = float(lo), float(hi)
@@ -89,7 +94,7 @@ def golden_section_max(
     d = a + GOLDEN * (b - a)
     fc, fd = f(c), f(d)
     iterations = 0
-    while abs(b - a) > tol and iterations < max_iterations:
+    while abs(b - a) > TOL and iterations < MAX_ITERATIONS:
         iterations += 1
         if fc > fd:
             b, d, fd = d, c, fc
@@ -109,13 +114,7 @@ def _curve(label: str, grid, point: VisibilityPoint) -> ScanResult:
     return ScanResult(label, list(zip(*(np.atleast_1d(c).tolist() for c in columns))))
 
 
-def maximize_classical(
-    phi: float,
-    g2_lo: float = 1.0,
-    g2_hi: float = 1e4,
-    coarse_points: int = 64,
-    tol: float = 1e-10,
-) -> OptimumReport:
+def maximize_classical(phi: float) -> OptimumReport:
     """Maximize the symmetric-circuit visibility over classical noise.
 
     The search runs along the bound-saturating manifold g3 = g2^2 (the
@@ -127,16 +126,16 @@ def maximize_classical(
     def objective(g2):  # a float or an array of them
         return visibility_of(coincidence_sym_phase, phi, g2, g2 * g2).v
 
-    xs = np.logspace(math.log10(g2_lo), math.log10(g2_hi), coarse_points)
+    xs = np.logspace(math.log10(G2_LO), math.log10(G2_HI), COARSE_POINTS)
     vals = objective(xs)
     if vals.max() - vals.min() < 1e-14:
         return OptimumReport(
-            argmax=g2_lo, value=float(vals[0]), bracket=(g2_lo, g2_lo), iterations=0
+            argmax=G2_LO, value=float(vals[0]), bracket=(G2_LO, G2_LO), iterations=0
         )
     i = int(np.argmax(vals))
     lo = float(xs[max(i - 1, 0)])
-    hi = float(xs[min(i + 1, coarse_points - 1)])
-    x, fx, iterations = golden_section_max(objective, lo, hi, tol=tol)
+    hi = float(xs[min(i + 1, COARSE_POINTS - 1)])
+    x, fx, iterations = golden_section_max(objective, lo, hi)
     return OptimumReport(argmax=x, value=fx, bracket=(lo, hi), iterations=iterations)
 
 
@@ -146,16 +145,14 @@ def _fock_visibility(phi, ns: np.ndarray) -> np.ndarray:
     return visibility_of(coincidence_sym_phase, phi, g2, g2 * (1 - 2 / ns)).v
 
 
-def best_fock(phi: float, n_max: int = 1000) -> FockOptimumReport:
-    """Scan Fock photon numbers 1..n_max at a fixed circuit phase.
+def best_fock(phi: float) -> FockOptimumReport:
+    """Scan Fock photon numbers 1..FOCK_N_MAX at a fixed circuit phase.
 
     Closed-form and cheap, so the scan is exhaustive.  Both sign branches
     are reported because the best dip and the best bump generally occur
     at different n (single photons dominate the bump branch).
     """
-    if not 1 <= n_max <= 10**6:
-        raise ValueError(f"n_max must be in 1..10^6, got {n_max}")
-    ns = np.arange(1, n_max + 1, dtype=float)
+    ns = np.arange(1, FOCK_N_MAX + 1, dtype=float)
     vs = _fock_visibility(phi, ns)
     i_best = int(np.argmax(vs))
     i_worst = int(np.argmin(vs))
@@ -192,14 +189,6 @@ def dft_point_sources() -> list[tuple[str, SourceStats]]:
     ]
 
 
-def _within(grid, name: str, lo: float, hi: float) -> np.ndarray:
-    """The grid as a float array, every value in [lo, hi]; NaN is outside."""
-    grid = np.asarray(grid, dtype=float)
-    if not np.all((grid >= lo) & (grid <= hi)):
-        raise ValueError(f"{name} grid must stay within [{lo:g}, {hi:g}]")
-    return grid
-
-
 def scan_g2_dft(grid) -> list[ScanResult]:
     """Visibility versus g2 on the balanced 3-port, g2 in [0, 1e6]: the
     classical curve sets g3 = g2^2, so g2 stops at sqrt(G_CAP).
@@ -208,7 +197,9 @@ def scan_g2_dft(grid) -> list[ScanResult]:
     limit (g3 = (2 - 3 sqrt(g2))^2), the two-port reference at R = 1/2,
     and one single-row result per marked source.
     """
-    grid = _within(grid, "g2", 0, math.sqrt(G_CAP))
+    grid = np.asarray(grid, dtype=float)
+    if not np.all((grid >= 0) & (grid <= math.sqrt(G_CAP))):  # NaN is outside
+        raise ValueError(f"g2 grid must stay within [0, {math.sqrt(G_CAP):g}]")
     gaussian_g3 = (2 - 3 * np.sqrt(grid)) ** 2
     results = [
         _curve("classical-bound", grid, visibility_of(coincidence_dft3, grid, grid * grid)),
@@ -227,7 +218,6 @@ def scan_overlap(sources: Sequence[tuple[str, SourceStats]], grid) -> list[ScanR
     fully-distinguishable denominator, so every curve starts at 0 and
     ends at the full-interference value.
     """
-    grid = _within(grid, "xi", 0, 2)
     results = []
     for label, stats in sources:
         p_dist = coincidence_dft3(stats.g2, stats.g3, indistinguishable=False)

@@ -46,8 +46,8 @@ def test_symmetric_pi_values():
 
 
 def test_symmetric_wraps_phase():
-    c = circuits.symmetric(2 * math.pi + 0.5)
-    assert c.params["phi"] == pytest.approx(0.5)
+    wrapped = circuits.symmetric(2 * math.pi + 0.5)
+    np.testing.assert_array_equal(wrapped.u, circuits.symmetric(0.5).u)
 
 
 def test_symmetric_row_sum_has_unit_modulus():
@@ -98,7 +98,6 @@ def test_beamsplitter_rejects_bad_reflectance():
 def test_custom_accepts_numeric_dft():
     u = circuits.dft(3).u.copy()
     c = circuits.custom(u)
-    assert c.kind == "custom"
     assert c.n == 3
 
 

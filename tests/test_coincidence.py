@@ -401,6 +401,34 @@ def test_closed_forms_reject_any_negative_array_entry(call):
         call()
 
 
+def domain_cases():
+    """Each g argument of each closed form set to NaN or 2e12, as a float
+    and inside an array, then the (g2, g3 = g2^2) pairs with g3 past the
+    cap that test_helpers_match_their_ratio_forms skips."""
+    valid = [
+        (coincidence_hom, {"r": 0.5, "g2": 1.0}),
+        (coincidence_dft3, {"g2": 1.0, "g3": 1.0}),
+        (coincidence_sym_phase, {"phi": 0.7, "g2": 1.0, "g3": 1.0}),
+        (coincidence_mismatch_n3, {"g2": 1.0, "g3": 1.0, "xi": 1.5}),
+    ]
+    for form, args in valid:
+        for name in (key for key in args if key[0] == "g"):
+            for bad in (math.nan, 2e12):
+                for kind, value in (("float", bad), ("array", np.array([1.0, bad]))):
+                    case = (form, {**args, name: value}, name)
+                    yield pytest.param(*case, id=f"{form.__name__}-{name}-{bad:g}-{kind}")
+    for g2 in np.geomspace(1e-6, 1e9, 31):
+        if g2 * g2 > 1e12:
+            case = (coincidence_dft3, {"g2": g2, "g3": g2 * g2}, "g3")
+            yield pytest.param(*case, id=f"coincidence_dft3-g2={g2:.3g}-g3=g2^2")
+
+
+@pytest.mark.parametrize("closed_form, args, name", list(domain_cases()))
+def test_closed_forms_reject_nan_or_g_past_the_cap(closed_form, args, name):
+    with pytest.raises(ValueError, match=rf"^{name} must stay within \[0, 1e\+12\]$"):
+        closed_form(**args)
+
+
 def test_permanent_cache_can_be_cleared():
     coincidence.clear_permanent_cache()
     ens = uniform_ensemble(3, sources.laser_stats())

