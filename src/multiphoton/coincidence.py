@@ -120,7 +120,7 @@ def _expansion_plan(n: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, .
     * ``shifts[k]`` (N x 2K_k): the shift maps of degree k on a (2, K_k)
       stack of coefficient vectors, flattened.  Row j sends each degree-k
       pattern p of either half to p + e_j in the same half of the flattened
-      (2, K_{k+1}) stack, so one 1-D scatter-add serves U and V at once.
+      (2, K_{k+1}) stack, so one scatter-add serves every j, U and V at once.
 
     Patterns of one degree are ranked by their base-(N+1) code, which
     sorts like the rows do, so each map is one ``searchsorted``.
@@ -152,13 +152,12 @@ def _expansion_plan(n: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, .
 def _weights_cached(n: int, key: bytes) -> tuple[np.ndarray, np.ndarray]:
     u = np.frombuffer(key, dtype=np.complex128).reshape(n, n)
     m = np.stack((u, np.abs(u) ** 2), axis=-1)[..., None]  # m[i, j] = [[u_ij], [v_ij]]
-    # Multiply in one row factor sum_j m_ij x_j at a time.  For a fixed j
-    # the map p -> p + e_j is injective, so a fancy-index += is exact.
+    # Multiply in one row factor sum_j m_ij x_j at a time.  np.add.at adds
+    # unbuffered in input order, j-major, so colliding terms sum in j order.
     coeffs = np.ones((2, 1), dtype=np.complex128)
     for i, shifts in enumerate(_expansion_plan(n)[2]):
         grown = np.zeros(2 * math.comb(n + i, n - 1), dtype=np.complex128)
-        for j, to in enumerate(shifts):
-            grown[to] += (m[i, j] * coeffs).ravel()
+        np.add.at(grown, shifts.ravel(), (m[i] * coeffs).ravel())
         coeffs = grown.reshape(2, -1)
     w_id = np.abs(coeffs[0]) ** 2
     w_dist = np.ascontiguousarray(coeffs[1].real)

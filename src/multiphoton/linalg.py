@@ -35,7 +35,7 @@ def as_complex_matrix(entries) -> np.ndarray:
     m = np.ascontiguousarray(entries, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
 

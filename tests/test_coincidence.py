@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from multiphoton import circuits, coincidence, sources
 from multiphoton.coincidence import (
+    MAX_PORTS,
     InputEnsemble,
     coincidence_dft3,
     coincidence_dist_general,
@@ -63,7 +64,7 @@ def test_exponent_tuples_range():
     with pytest.raises(ValueError):
         enumerate_exponent_tuples(0)
     with pytest.raises(ValueError):
-        enumerate_exponent_tuples(9)
+        enumerate_exponent_tuples(MAX_PORTS + 1)
 
 
 # --- balanced 3-port anchors ---------------------------------------------------

@@ -65,6 +65,27 @@ def test_permanent_rejects_non_finite():
         linalg.permanent(m)
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [complex(0, math.inf), complex(math.nan, 0), complex(math.inf, math.nan)],
+    ids=["inf-imag", "nan-real", "inf-nan"],
+)
+@pytest.mark.parametrize("check", [circuits.custom, linalg.check_unitary, linalg.permanent])
+def test_non_finite_part_rejected(check, entry):
+    """One non-finite part, real or imaginary, is enough."""
+    m = np.eye(3, dtype=complex)
+    m[1, 2] = entry
+    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        check(m)
+
+
+def test_finite_matrix_passes_finiteness_check():
+    m = np.eye(3, dtype=complex)
+    assert circuits.custom(m).n == 3
+    assert linalg.check_unitary(m).ok
+    assert linalg.permanent(m) == 1
+
+
 def test_permanent_deterministic():
     rng = np.random.default_rng(3)
     m = random_complex(rng, 7)

@@ -1,10 +1,10 @@
 """The per-circuit weight table and the pattern sum of the general engines.
 
 The table comes from one polynomial expansion; these tests hold it to the
-per-pattern permanent construction it replaced and to the same expansion
-run in exact integer arithmetic, check exact invariants that
-hold at any port count up to MAX_PORTS, and pin when a missing g^(m)
-order is an error.
+per-pattern permanent construction it replaced, to the same expansion run
+in exact integer arithmetic and, bit for bit, to the same expansion run
+one column at a time; they check exact invariants that hold at any port
+count up to MAX_PORTS, and pin when a missing g^(m) order is an error.
 """
 
 import math
@@ -61,6 +61,21 @@ def permanent_table(u):
         w_id.append(abs(linalg.permanent(u[:, d]) / norm) ** 2)
         w_dist.append(linalg.permanent(v[:, d]).real / norm)
     return np.array(w_id), np.array(w_dist)
+
+
+def loop_table(u):
+    """(w_id, w_dist) from the same expansion with one fancy-index += per
+    (row, column) pair: for a fixed j the map p -> p + e_j is injective, so
+    each += is exact and every entry takes its terms in j order."""
+    n = u.shape[0]
+    m = np.stack((u, np.abs(u) ** 2), axis=-1)[..., None]
+    coeffs = np.ones((2, 1), dtype=np.complex128)
+    for i, shifts in enumerate(coincidence._expansion_plan(n)[2]):
+        grown = np.zeros(2 * math.comb(n + i, n - 1), dtype=np.complex128)
+        for j, to in enumerate(shifts):
+            grown[to] += (m[i, j] * coeffs).ravel()
+        coeffs = grown.reshape(2, -1)
+    return np.abs(coeffs[0]) ** 2, coeffs[1].real
 
 
 def exact_table(u):
@@ -166,6 +181,21 @@ def test_table_matches_exact_expansion(u):
     exact_id, exact_dist = exact_table(np.asarray(u))
     assert np.abs(w_id - exact_id).max() <= EXACT_TOL
     assert np.abs(w_dist - exact_dist).max() <= EXACT_TOL
+
+
+@pytest.mark.parametrize(
+    "u",
+    [
+        *[pytest.param(circuits.dft(n).u, id=f"dft{n}") for n in range(2, MAX_PORTS + 1)],
+        *[pytest.param(haar(700 + 10 * n + k, n), id=f"haar{n}-{k}")
+          for n in range(1, MAX_PORTS + 1) for k in range(5)],
+    ],
+)
+def test_table_matches_loop_build_bit_for_bit(u):
+    """The one scatter-add per row factor sums each entry in the loop's
+    order, so the tables are the same bits."""
+    for got, want in zip(coincidence._weights(circuits.custom(u)), loop_table(np.asarray(u))):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_port_count_above_max_rejected():
