@@ -88,7 +88,6 @@ def beamsplitter(r: float) -> Circuit:
 def custom(matrix) -> Circuit:
     """Wrap a user-supplied unitary (checked at the looser 1e-9 tolerance
     appropriate for matrices that went through decimal serialization)."""
-    u = linalg.as_complex_matrix(matrix)
-    if u.shape[0] != u.shape[1]:
-        raise ValueError(f"circuit matrix must be square, got {u.shape}")
-    return _finish(u.copy(), "custom", CUSTOM_TOL)
+    # One C-ordered complex128 copy, which check_unitary's conversion passes
+    # through unchanged; _finish freezes the copy, never the caller's array.
+    return _finish(np.array(matrix, dtype=np.complex128, order="C"), "custom", CUSTOM_TOL)

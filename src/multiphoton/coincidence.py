@@ -89,24 +89,6 @@ def enumerate_exponent_tuples(n: int) -> np.ndarray:
     return _expansion_plan(n)[0]
 
 
-def _compositions(n: int) -> list[np.ndarray]:
-    """[S_0, ..., S_n]: S_k holds every composition of k into n parts, one
-    per row, in lexicographic order.
-
-    The prefixes of n - 1 parts with sum <= n are grown one port at a time,
-    each prefix p followed by 0..n - sum(p), which keeps them sorted; S_k
-    completes each prefix of sum <= k with its remainder as the last part.
-    """
-    prefixes = np.zeros((1, 0), dtype=np.int64)
-    for _ in range(n - 1):
-        counts = n + 1 - prefixes.sum(axis=1)
-        starts = np.repeat(np.cumsum(counts) - counts, counts)
-        last = np.arange(starts.size) - starts
-        prefixes = np.column_stack((np.repeat(prefixes, counts, axis=0), last))
-    used = prefixes.sum(axis=1)
-    return [np.column_stack((prefixes[used <= k], k - used[used <= k])) for k in range(n + 1)]
-
-
 # --- general engines -------------------------------------------------------
 
 @lru_cache(maxsize=None)  # one entry per port count, so at most MAX_PORTS
@@ -122,19 +104,24 @@ def _expansion_plan(n: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, .
       pattern p of either half to p + e_j in the same half of the flattened
       (2, K_{k+1}) stack, so one scatter-add serves every j, U and V at once.
 
-    Patterns of one degree are ranked by their base-(N+1) code, which
-    sorts like the rows do, so each map is one ``searchsorted``.
+    Every composition of k + 1 is a composition of k plus some e_j, and the
+    base-(N+1) code of a pattern sorts like its row does.  So ``np.unique``
+    over the codes of every p + e_j yields the degree-(k+1) codes in table
+    order, and its inverse, one entry per (j, p), is the rank of p + e_j:
+    the shift map, already port-major.  ``s`` is read back from the
+    degree-N codes.
     """
     if not 1 <= n <= MAX_PORTS:
         raise ValueError(f"port count must be in 1..{MAX_PORTS}, got {n}")
-    patterns = _compositions(n)
-    s = patterns[n]
     radix = (n + 1) ** np.arange(n - 1, -1, -1)
-    codes = [p @ radix for p in patterns]
+    codes = np.zeros(1, dtype=np.int64)
     shifts = []
-    for k in range(n):
-        to = np.searchsorted(codes[k + 1], codes[k] + radix[:, None])
-        shifts.append(np.concatenate((to, to + len(codes[k + 1])), axis=1))
+    for _ in range(n):
+        # numpy 1.x returns the inverse flat, 2.x in the input's shape.
+        codes, to = np.unique(radix[:, None] + codes, return_inverse=True)
+        to = to.reshape(n, -1)
+        shifts.append(np.concatenate((to, to + len(codes)), axis=1))
+    s = codes[:, None] // radix % (n + 1)
     take = np.ascontiguousarray((np.arange(n) * (n + 1) + s).T)
     # Every caller shares these arrays, so none of them may be written to.
     for array in (s, take, *shifts):

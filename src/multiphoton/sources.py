@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 G_CAP = 1e12  # guard against silent overflow in g2 -> infinity scans
@@ -72,6 +73,8 @@ def fock_stats(n: int, max_order: int = 3) -> SourceStats:
     n = int(n)
     if n < 1:
         raise ValueError(f"photon number must be >= 1, got {n}")
+    if n > sys.float_info.max:  # the mean is a float
+        raise ValueError(f"photon number must be <= {sys.float_info.max:g}")
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
     gs = [math.perm(n, m) / n**m if m <= n else 0.0 for m in range(2, max_order + 1)]
@@ -98,7 +101,10 @@ def diluted_laser_stats(p: float, max_order: int = 3) -> SourceStats:
     """
     if not 0 < p <= 1:
         raise ValueError(f"dilution probability must be in (0, 1], got {p}")
-    gs = [p ** (1 - m) for m in range(2, max_order + 1)]
+    try:
+        gs = [p ** (1 - m) for m in range(2, max_order + 1)]
+    except OverflowError:  # beyond the largest float, so far beyond G_CAP
+        raise ValueError(f"g({max_order}) = {p:g}^{1 - max_order} outside [0, {G_CAP:g}]") from None
     return _with_prefix(gs, p)
 
 

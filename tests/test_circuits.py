@@ -108,6 +108,21 @@ def test_custom_rejects_broken_identity():
         circuits.custom(m)
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_custom_copies_the_callers_matrix(order):
+    m = np.array(circuits.dft(3).u, order=order)
+    c = circuits.custom(m)
+    assert m.flags.writeable and not np.shares_memory(c.u, m)
+    assert c.u.flags.c_contiguous and not c.u.flags.writeable
+    m[0, 0] = 0
+    np.testing.assert_array_equal(c.u, circuits.dft(3).u)
+
+
+def test_custom_rejects_non_square():
+    with pytest.raises(ValueError, match="^matrix must be square, got 2x3$"):
+        circuits.custom(np.ones((2, 3)))
+
+
 def test_custom_accepts_haar_like():
     rng = np.random.default_rng(11)
     z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))

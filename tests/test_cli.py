@@ -60,11 +60,37 @@ def test_parse_source_specs():
 
 
 @pytest.mark.parametrize(
-    "bad", ["fock:x", "nope", "diluted:2", "vac12:0.3", "custom:g4=1"]
+    "bad",
+    [
+        "fock:x",
+        "nope",
+        "diluted:2",
+        "vac12:0.3",
+        "custom:g4=1",
+        "diluted:1e-200",
+        "diluted:5e-324",
+        "fock:1" + "0" * 400,
+    ],
 )
 def test_parse_source_rejects_malformed(bad):
     with pytest.raises(UsageError):
         parse_source_spec(bad)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coinc", "--dft", "3", "--sources", "diluted:5e-324"],
+        ["hom", "--source", "diluted:5e-324"],
+        ["sym", "--sources", "diluted:1e-200", "--scan-phi", "0:1:3"],
+        ["hom", "--source", "fock:1" + "0" * 400],
+    ],
+)
+def test_overflowing_source_spec_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad source spec")
 
 
 @pytest.mark.parametrize("command", ["sym", "mismatch"])

@@ -45,6 +45,31 @@ def test_exponent_tuples_match_product_reference(n):
     assert list(map(tuple, enumerate_exponent_tuples(n).tolist())) == reference
 
 
+def ranked_compositions(n, k):
+    """{composition of k into n parts: its rank in lexicographic order},
+    each composition counted from a multiset of k ports."""
+    patterns = sorted(
+        tuple(ports.count(j) for j in range(n))
+        for ports in itertools.combinations_with_replacement(range(n), k)
+    )
+    return {p: rank for rank, p in enumerate(patterns)}
+
+
+@pytest.mark.parametrize("n", range(1, MAX_PORTS + 1))
+def test_plan_matches_ranked_compositions(n):
+    _, _, shifts = coincidence._expansion_plan(n)
+    ranks = [ranked_compositions(n, k) for k in range(n + 1)]
+    assert list(map(tuple, enumerate_exponent_tuples(n).tolist())) == list(ranks[n])
+    assert len(shifts) == n
+    for k in range(n):
+        lower, upper = ranks[k], ranks[k + 1]
+        assert shifts[k].shape == (n, 2 * len(lower))
+        for j in range(n):
+            to = [upper[p[:j] + (p[j] + 1,) + p[j + 1:]] for p in lower]
+            assert shifts[k][j, : len(lower)].tolist() == to
+            assert shifts[k][j, len(lower):].tolist() == [rank + len(upper) for rank in to]
+
+
 def test_exponent_tuples_are_read_only():
     with pytest.raises(ValueError):
         enumerate_exponent_tuples(3)[0, 0] = 1

@@ -104,9 +104,10 @@ def test_diluted_laser_rejects_bad_probability():
         sources.diluted_laser_stats(1.2)
 
 
-def test_diluted_laser_overflow_guard():
+@pytest.mark.parametrize("p", [1e-8, 1e-200, 5e-324])
+def test_diluted_laser_overflow_guard(p):
     with pytest.raises(ValueError, match="outside"):
-        sources.diluted_laser_stats(1e-8, max_order=3)
+        sources.diluted_laser_stats(p, max_order=3)
 
 
 def test_vac12_pure_single_photon():
