@@ -210,7 +210,7 @@ def cmd_sym(args) -> int:
 
 def cmd_coinc(args) -> int:
     circuit = _circuit_from_flags(args)
-    srcs = parse_source_list(args.sources, max_order=max(3, circuit.n))
+    srcs = parse_source_list(args.sources, max_order=circuit.n)
     if len(srcs) == 1:
         srcs = srcs * circuit.n
     if len(srcs) != circuit.n:

@@ -187,29 +187,22 @@ def _port_products(stats: tuple[SourceStats, ...]) -> np.ndarray:
 def _pattern_sum(stats: Sequence[SourceStats], weights: np.ndarray) -> float:
     """sum_k weights[k] prod_i n_i^{s_ki} g_i^(s_ki) over the patterns s.
 
-    A pattern of nonzero weight that needs an order some port does not
-    define is an error, unless that port or a lit port before it has zero
-    mean: ports are examined in order and a dark port ends the term at 0.
-    The rule depends on the weights, so it is applied on every call, also
-    when the products come from the memo.
+    A term that lights a zero-mean port is 0, whatever its g's.  Any other
+    term of nonzero weight that needs an order some port does not define
+    is an error, so relabelling the ports never changes the outcome.  The
+    rule depends on the weights, so it is applied on every call, also when
+    the products come from the memo.
     """
     n = len(stats)
     if min(stat.max_order for stat in stats) < n:
         s = _expansion_plan(n)[0]
         means = np.array([stat.mean_n for stat in stats])
         orders = np.array([stat.max_order for stat in stats])
-        dead = (s > 0) & (means == 0)
-        missing = (s > orders) & ~dead
-        first = (dead | missing).argmax(axis=1)
-        rows = np.arange(len(s))
-        raising = np.flatnonzero(missing[rows, first] & (weights != 0))
-        if raising.size:
-            k = raising[0]
-            i = first[k]
-            raise ValueError(
-                f"source statistics defined only to order {stats[i].max_order}, "
-                f"but g({s[k, i]}) is required"
-            )
+        live = (weights != 0) & ~((s > 0) & (means == 0)).any(axis=1)
+        short = np.argwhere((s > orders) & live[:, None])
+        if short.size:
+            k, i = short[0]
+            stats[i]._order(s[k, i])  # raises: s[k, i] is past that port's max_order
     return float(weights @ _port_products(tuple(stats)))
 
 

@@ -88,7 +88,10 @@ def laser_stats(max_order: int = 3, mean_n: float = 1.0) -> SourceStats:
 
 def thermal_stats(max_order: int = 3, mean_n: float = 1.0) -> SourceStats:
     """Thermal light: g^(m) = m!  (g2 = 2, g3 = 6, ...)."""
-    gs = [float(math.factorial(m)) for m in range(2, max_order + 1)]
+    try:
+        gs = [float(math.factorial(m)) for m in range(2, max_order + 1)]
+    except OverflowError:  # beyond the largest float, so far beyond G_CAP
+        raise ValueError(f"g({max_order}) = {max_order}! outside [0, {G_CAP:g}]") from None
     return _with_prefix(gs, mean_n)
 
 
@@ -120,8 +123,6 @@ def vac12_mixture_stats(p: float, q: float, max_order: int = 3) -> SourceStats:
     if not 0 <= q <= 1:
         raise ValueError(f"single-photon branching must be in [0, 1], got {q}")
     mean = (1 - p) * (2 - q)
-    if mean <= 0:
-        raise ValueError("degenerate all-vacuum mixture")
     g2 = 2 * (1 - q) / ((1 - p) * (2 - q) ** 2)
     gs = [g2] + [0.0] * (max_order - 2)
     return _with_prefix(gs, mean)

@@ -15,6 +15,7 @@ from multiphoton.cli import (
     parse_grid_spec,
     parse_source_spec,
 )
+from multiphoton.visibility import visibility_of
 
 
 def run_cli(capsys, *argv):
@@ -84,13 +85,22 @@ def test_parse_source_rejects_malformed(bad):
         ["hom", "--source", "diluted:5e-324"],
         ["sym", "--sources", "diluted:1e-200", "--scan-phi", "0:1:3"],
         ["hom", "--source", "fock:1" + "0" * 400],
+        ["coinc", "--circuit", "IDENTITY_171", "--sources", "thermal"],  # 171! > max float
     ],
 )
-def test_overflowing_source_spec_is_a_usage_error(capsys, argv):
+def test_overflowing_source_spec_is_a_usage_error(capsys, tmp_path, argv):
+    argv = [circuit_file(tmp_path, np.eye(171)) if arg == "IDENTITY_171" else arg for arg in argv]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: bad source spec")
+
+
+def test_custom_spec_with_unknown_field_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "coinc", "--dft", "3", "--sources", "custom:g2=1,g4=2")
+    assert code == 2
+    assert out == ""
+    assert "unknown fields ['g4']" in err
 
 
 @pytest.mark.parametrize("command", ["sym", "mismatch"])
@@ -195,6 +205,13 @@ def test_hom_rejects_bad_reflectance(capsys):
     assert code == 2
     assert out == ""
     assert "reflectance must be in [0, 1]" in err
+
+
+def test_hom_rejects_reflectance_that_is_not_a_number(capsys):
+    code, out, err = run_cli_rejected(capsys, "hom", "--R", "abc", "--g2", "1")
+    assert code == 2
+    assert out == ""
+    assert "not a number: 'abc'" in err
 
 
 def test_hom_rejects_negative_g2(capsys):
@@ -414,6 +431,25 @@ def test_coinc_with_custom_circuit_matches_builtin(tmp_path, capsys):
     assert float(row["v"]) == pytest.approx(11 / 20, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        None,
+        "{not json",
+        json.dumps({"n": 3, "re": np.eye(2).tolist(), "im": np.zeros((2, 2)).tolist()}),
+    ],
+    ids=["missing", "invalid-json", "n-mismatch"],
+)
+def test_coinc_unloadable_circuit_file_is_a_usage_error(tmp_path, capsys, text):
+    path = tmp_path / "circuit.json"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = run_cli(capsys, "coinc", "--circuit", str(path), "--sources", "laser")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_coinc_circuit_roundtrip_loader(tmp_path):
     u = circuits.symmetric(1.0).u
     loaded = load_circuit_json(circuit_file(tmp_path, u))
@@ -427,6 +463,34 @@ def test_coinc_rejects_non_unitary_file(tmp_path, capsys):
     code, _, err = run_cli(capsys, "coinc", "--circuit", path, "--sources", "laser")
     assert code == 2
     assert "unitary" in err
+
+
+@pytest.mark.parametrize(
+    "r, spec, g2",
+    [
+        (0.0, "thermal", 2.0),
+        (0.3, "fock:1", 0.0),
+        (1.0, "laser", 1.0),
+        (0.5, "diluted:1e-7", 1e7),  # g(3) = 1e14 is past the cap, but no 2-port term reads it
+    ],
+)
+def test_coinc_beamsplitter_matches_hom_closed_form(capsys, r, spec, g2):
+    code, out, _ = run_cli(capsys, "coinc", "--beamsplitter", str(r), "--sources", spec)
+    assert code == 0
+    want = visibility_of(coincidence.coincidence_hom, r, g2).v
+    assert float(read_csv(out)[0]["v"]) == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("spec", ["fock:1", "laser", "thermal", "noise-opt", "vac12:0.2,0.5"])
+def test_coinc_symmetric_at_two_thirds_pi_matches_dft3(capsys, spec):
+    rows = []
+    for flags in (["--symmetric", "2.0943951023931953"], ["--dft", "3"]):
+        code, out, _ = run_cli(capsys, "coinc", *flags, "--sources", spec)
+        assert code == 0
+        rows.append(read_csv(out)[0])
+    sym, dft = rows
+    for key in ("p_id", "p_dist", "v"):
+        assert float(sym[key]) == pytest.approx(float(dft[key]), abs=1e-12)
 
 
 def test_coinc_per_port_sources(capsys):

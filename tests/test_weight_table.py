@@ -4,9 +4,11 @@ The table comes from one polynomial expansion; these tests hold it to the
 per-pattern permanent construction it replaced, to the same expansion run
 in exact integer arithmetic and, bit for bit, to the same expansion run
 one column at a time; they check exact invariants that hold at any port
-count up to MAX_PORTS, and pin when a missing g^(m) order is an error.
+count up to MAX_PORTS, and pin when a missing g^(m) order is an error,
+whatever the port labels.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -118,13 +120,13 @@ def exact_table(u):
 
 
 def stats_factor(stats, s):
-    """The per-pattern source factor as the engines evaluated it in a loop."""
+    """The per-pattern source factor, whatever the port labels: 0 if the
+    pattern lights a zero-mean port, else prod_i n_i^s_i g_i^(s_i), which
+    needs every g it multiplies."""
+    if any(si and stat.mean_n == 0.0 for stat, si in zip(stats, s)):
+        return 0.0
     factor = 1.0
     for stat, si in zip(stats, s):
-        if si == 0:
-            continue
-        if stat.mean_n == 0.0:
-            return 0.0
         if si > stat.max_order:
             raise ValueError(
                 f"source statistics defined only to order {stat.max_order}, "
@@ -269,20 +271,16 @@ SHORT = sources.SourceStats(1.0, (1.0, 1.0))  # defined to order 1 only
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-def test_zero_mean_port_before_missing_order_gives_zero(engine):
-    # every pattern lights the dark port 0 before the short port 1
-    ens = InputEnsemble(stats=(VACUUM, SHORT, sources.laser_stats()))
-    result = engine(_blocked(True), ens)
+@pytest.mark.parametrize("first_port_always_lit", [True, False])
+def test_dark_port_lit_in_every_term_gives_zero(engine, first_port_always_lit):
+    # the short port would need g(2), but every term lights the dark port,
+    # in either labelling of the same experiment
+    stats = (VACUUM, SHORT, sources.laser_stats())
+    if not first_port_always_lit:
+        stats = stats[::-1]
+    result = engine(_blocked(first_port_always_lit), InputEnsemble(stats=stats))
     assert result.p_raw == 0.0
     assert math.isnan(result.p_normalized)
-
-
-@pytest.mark.parametrize("engine", ENGINES)
-def test_zero_mean_port_after_missing_order_raises(engine):
-    # the same experiment relabelled: the dark port is now examined last
-    ens = InputEnsemble(stats=(sources.laser_stats(), SHORT, VACUUM))
-    with pytest.raises(ValueError, match=r"order 1, but g\(2\)"):
-        engine(_blocked(False), ens)
 
 
 def test_zero_mean_port_with_missing_order_gives_zero():
@@ -298,11 +296,9 @@ def _random_stats(rng, n):
     return sources.SourceStats(mean, (1.0, 1.0, *rng.uniform(0, 5, order - 1).tolist()))
 
 
-@given(st.integers(2, 4), st.integers(0, 2**32 - 1), st.booleans())
-@settings(max_examples=60)
-def test_engines_match_loop_reference(n, seed, blocked):
-    """Same value (or the same error) as the per-pattern loop over the
-    permanent table, for ensembles with dark ports and short g sequences."""
+def _reference_case(n, seed, blocked):
+    """A seeded generator, an n-port circuit and an ensemble with dark ports
+    and short g sequences."""
     rng = np.random.default_rng(seed)
     u = haar(seed, n)
     if blocked:  # exact zeros: port n-1 passes straight through, permuted
@@ -310,8 +306,16 @@ def test_engines_match_loop_reference(n, seed, blocked):
         u[: n - 1, : n - 1] = haar(seed, n - 1)
         u[n - 1, n - 1] = 1
         u = u[rng.permutation(n)][:, rng.permutation(n)]
+    return rng, u, InputEnsemble(stats=tuple(_random_stats(rng, n) for _ in range(n)))
+
+
+@given(st.integers(2, 4), st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=60)
+def test_engines_match_loop_reference(n, seed, blocked):
+    """Same value (or the same error) as the per-pattern loop over the
+    permanent table, for ensembles with dark ports and short g sequences."""
+    _, u, ens = _reference_case(n, seed, blocked)
     circuit = circuits.custom(u)
-    ens = InputEnsemble(stats=tuple(_random_stats(rng, n) for _ in range(n)))
     patterns = enumerate_exponent_tuples(n)
     for engine, ref_weights in zip(ENGINES, permanent_table(u)):
         got = outcome(lambda: engine(circuit, ens).p_raw)
@@ -321,6 +325,58 @@ def test_engines_match_loop_reference(n, seed, blocked):
             assert got[1] == want[1]
         else:
             assert got[1] == pytest.approx(want[1], rel=1e-12, abs=1e-14)
+
+
+@given(st.integers(2, 4), st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=60)
+def test_relabelling_ports_keeps_the_outcome(n, seed, blocked):
+    """Every permutation of the input ports, each port with its source, and
+    a random one of the output ports give the same outcome, and the same
+    p_raw when there is one."""
+    rng, u, ens = _reference_case(n, seed, blocked)
+    want = [outcome(lambda: engine(circuits.custom(u), ens).p_raw) for engine in ENGINES]
+    for inputs in map(list, itertools.permutations(range(n))):
+        relabelled = circuits.custom(u[rng.permutation(n)][:, inputs])
+        permuted = InputEnsemble(stats=tuple(ens.stats[j] for j in inputs))
+        for engine, (kind, p_raw) in zip(ENGINES, want):
+            got = outcome(lambda: engine(relabelled, permuted).p_raw)
+            assert got[0] == kind
+            if kind == "ok":
+                assert got[1] == pytest.approx(p_raw, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", range(2, MAX_PORTS + 1))
+def test_lit_port_short_of_order_n_raises_on_dft(n):
+    """On dft(N) a lit port j defined below order N meets the pattern N e_j,
+    of weight N^-N in both tables, so the round-off left in the suppressed
+    w_id entries never decides whether a sum raises."""
+    circuit = circuits.dft(n)
+    top = np.flatnonzero(enumerate_exponent_tuples(n).max(axis=1) == n)
+    for weights in coincidence._weights(circuit):
+        np.testing.assert_allclose(weights[top], float(n) ** -n, rtol=1e-12)
+    for j in range(n):
+        stats = [sources.laser_stats(n)] * n
+        stats[j] = sources.laser_stats(n - 1)
+        for engine in ENGINES:
+            with pytest.raises(ValueError, match=rf"order {n - 1}, but g\({n}\) is required$"):
+                engine(circuit, InputEnsemble(stats=tuple(stats)))
+
+
+@pytest.mark.parametrize("n", range(2, MAX_PORTS + 1))
+def test_dark_port_short_of_order_n_changes_nothing_on_dft(n):
+    """A dark port zeroes every term it lights, so one defined to order 1
+    gives the bits of the same port defined to order N."""
+    circuit = circuits.dft(n)
+    lit = sources.thermal_stats(n, mean_n=0.7)
+    for j in range(n):
+        short, full = [lit] * n, [lit] * n
+        short[j] = sources.SourceStats(0.0, (1.0, 1.0))
+        full[j] = sources.laser_stats(n, mean_n=0.0)
+        for engine in ENGINES:
+            got = engine(circuit, InputEnsemble(stats=tuple(short))).p_raw
+            want = engine(circuit, InputEnsemble(stats=tuple(full))).p_raw
+            assert want > 0
+            assert got.hex() == want.hex()
 
 
 def _lit_stats(rng, order):
