@@ -39,6 +39,12 @@ def test_exponent_tuples_sorted_and_sum_correct():
     assert (tuples.sum(axis=1) == 4).all()
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_exponent_tuples_match_product_reference(n):
+    reference = [p for p in itertools.product(range(n + 1), repeat=n) if sum(p) == n]
+    assert list(map(tuple, enumerate_exponent_tuples(n).tolist())) == reference
+
+
 def ranked_compositions(n, k):
     """{composition of k into n parts: its rank in lexicographic order},
     each composition counted from a multiset of k ports."""
