@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import json
 import math
 import os
@@ -19,7 +18,7 @@ import sys
 
 import numpy as np
 
-from multiphoton import circuits, coincidence, fockspace, linalg, sources
+from multiphoton import circuits, coincidence, sources, verify
 from multiphoton.optimize import (
     OPTIMAL_NOISE_P,
     ScanResult,
@@ -29,7 +28,6 @@ from multiphoton.optimize import (
     scan_g2_dft,
     scan_overlap,
     scan_phase,
-    standard_sources,
 )
 from multiphoton.visibility import visibility, visibility_of
 
@@ -133,8 +131,12 @@ def load_circuit_json(path: str) -> circuits.Circuit:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
         n = int(data["n"])
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise UsageError(f"cannot load circuit from {path}: {exc}") from None
+    coincidence.enumerate_exponent_tuples(n)  # refuses n outside 1..MAX_PORTS
+    try:
         u = np.array(data["re"], dtype=float) + 1j * np.array(data["im"], dtype=float)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"cannot load circuit from {path}: {exc}") from None
     if u.shape != (n, n):
         raise UsageError(f"circuit file declares n={n} but matrix shape is {u.shape}")
@@ -277,169 +279,14 @@ def cmd_optimize(args) -> int:
 
 # --- verification suite -----------------------------------------------------
 
-def _verification_checks(seed: int):
-    rng = np.random.default_rng(seed)
-
-    def permanent_vs_naive():
-        worst = 0.0
-        for _ in range(20):
-            n = int(rng.integers(1, 8))
-            m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            a, b = linalg.permanent(m), linalg.permanent_naive(m)
-            worst = max(worst, abs(a - b) / max(abs(b), 1e-30))
-        return worst < 1e-10, f"max relative gap {worst:.2e}"
-
-    def permanent_known():
-        ones = linalg.permanent(np.ones((6, 6)))
-        dft3 = abs(linalg.permanent(circuits.dft(3).u)) ** 2
-        ok = abs(ones - 720) < 1e-9 and abs(dft3 - 1 / 3) < 1e-12
-        return ok, f"all-ones 6x6 -> {ones.real:.6f}, |Per(dft3)|^2 -> {dft3:.6f}"
-
-    def hom_engine_vs_closed():
-        worst = 0.0
-        for r in np.linspace(0, 1, 5):
-            for g2 in np.linspace(0, 4, 5):
-                ens = coincidence.uniform_ensemble(2, sources.custom_stats(g2))
-                bs = circuits.beamsplitter(float(r))
-                p_id = coincidence.coincidence_id_general(bs, ens).p_normalized
-                p_dist = coincidence.coincidence_dist_general(bs, ens).p_normalized
-                worst = max(
-                    worst,
-                    abs(p_id - coincidence.coincidence_hom(float(r), float(g2), True)),
-                    abs(p_dist - coincidence.coincidence_hom(float(r), float(g2), False)),
-                )
-        return worst < 1e-12, f"max gap {worst:.2e}"
-
-    def balanced3_anchors():
-        oks = []
-        circuit = circuits.dft(3)
-        for stats, expect in [
-            (sources.fock_stats(1), (1 / 3, 2 / 9)),
-            (sources.laser_stats(), (4 / 9, 1.0)),
-            (sources.thermal_stats(), (1.0, 20 / 9)),
-        ]:
-            ens = coincidence.uniform_ensemble(3, stats)
-            p_id = coincidence.coincidence_id_general(circuit, ens).p_normalized
-            p_dist = coincidence.coincidence_dist_general(circuit, ens).p_normalized
-            oks.append(abs(p_id - expect[0]) < 1e-12 and abs(p_dist - expect[1]) < 1e-12)
-        return all(oks), "single-photon/laser/thermal anchor probabilities"
-
-    def explicit_vs_general():
-        worst = 0.0
-        circuit = circuits.symmetric(0.7)
-        for _ in range(10):
-            stats = tuple(
-                sources.custom_stats(float(rng.uniform(0, 4)), float(rng.uniform(0, 9)),
-                                     mean_n=float(rng.uniform(0.1, 3)))
-                for _ in range(3)
-            )
-            ens = coincidence.InputEnsemble(stats=stats)
-            for flag, general in [
-                (True, coincidence.coincidence_id_general),
-                (False, coincidence.coincidence_dist_general),
-            ]:
-                a = coincidence.coincidence_n3_explicit(circuit, ens, flag).p_raw
-                b = general(circuit, ens).p_raw
-                worst = max(worst, abs(a - b) / max(abs(b), 1e-30))
-        return worst < 1e-12, f"max relative gap {worst:.2e}"
-
-    def mismatch_joint_and_endpoints():
-        g2, g3 = np.meshgrid(np.linspace(0, 4, 5), np.linspace(0, 9, 5))
-        mismatch = functools.partial(coincidence.coincidence_mismatch_n3, g2, g3)
-        gaps = [
-            mismatch(1.0) - mismatch(1.0 + 1e-15),
-            mismatch(0.0) - coincidence.coincidence_dft3(g2, g3, False),
-            mismatch(2.0) - coincidence.coincidence_dft3(g2, g3, True),
-        ]
-        worst = float(np.abs(gaps).max())
-        return worst < 1e-12, f"max gap {worst:.2e}"
-
-    def symmetric_matches_balanced():
-        worst = 0.0
-        sym = circuits.symmetric(2 * math.pi / 3)
-        bal = circuits.dft(3)
-        for _, stats in standard_sources():
-            ens = coincidence.uniform_ensemble(3, stats)
-            for engine in [
-                coincidence.coincidence_id_general,
-                coincidence.coincidence_dist_general,
-            ]:
-                worst = max(
-                    worst,
-                    abs(engine(sym, ens).p_normalized - engine(bal, ens).p_normalized),
-                )
-        return worst < 1e-12, f"max gap {worst:.2e}"
-
-    def oracle_vs_engines():
-        worst = 0.0
-        cases = [
-            (circuits.dft(3), [[(1.0, 1)]] * 3),
-            (circuits.dft(2), [[(1.0, 1)]] * 2),
-            (circuits.beamsplitter(0.3), [[(1.0, 2)]] * 2),
-            (circuits.dft(3), [[(0.3, 0), (0.49, 1), (0.21, 2)]] * 3),
-        ]
-        for circuit, port_inputs in cases:
-            stats_list = []
-            for components in port_inputs:
-                mean = sum(w * c for w, c in components)
-                mom2 = sum(w * c * (c - 1) for w, c in components)
-                mom3 = sum(w * c * (c - 1) * (c - 2) for w, c in components)
-                stats_list.append(
-                    sources.SourceStats(mean, (1.0, 1.0, mom2 / mean**2, mom3 / mean**3))
-                )
-            ens = coincidence.InputEnsemble(stats=tuple(stats_list))
-            n = circuit.n
-            _, same = fockspace.oracle_coincidence(circuit, port_inputs, [1] * n)
-            _, dist = fockspace.oracle_coincidence(circuit, port_inputs, list(range(1, n + 1)))
-            worst = max(
-                worst,
-                abs(same - coincidence.coincidence_id_general(circuit, ens).p_normalized),
-                abs(dist - coincidence.coincidence_dist_general(circuit, ens).p_normalized),
-            )
-        return worst < 1e-10, f"max gap {worst:.2e}"
-
-    def thermal_phase_invariance():
-        values = [
-            coincidence.coincidence_sym_phase(phi, 2.0, 6.0, True)
-            for phi in np.linspace(0, 2 * math.pi, 101)
-        ]
-        spread = max(values) - min(values)
-        return spread < 1e-12, f"spread {spread:.2e}"
-
-    def scan_self_consistency():
-        worst = 0.0
-        for result in scan_overlap(standard_sources(), np.linspace(0, 2, 51)):
-            for _, p_id, p_dist, v in result.rows:
-                worst = max(worst, abs(v - (1 - p_id / p_dist)))
-        return worst < 1e-12, f"max gap {worst:.2e}"
-
-    return [
-        ("permanent-ryser-vs-naive", permanent_vs_naive),
-        ("permanent-known-values", permanent_known),
-        ("hom-engine-vs-closed-form", hom_engine_vs_closed),
-        ("balanced3-anchors", balanced3_anchors),
-        ("explicit3-vs-general", explicit_vs_general),
-        ("mismatch-joint-endpoints", mismatch_joint_and_endpoints),
-        ("symmetric-vs-balanced3", symmetric_matches_balanced),
-        ("oracle-vs-engines", oracle_vs_engines),
-        ("thermal-phase-invariance", thermal_phase_invariance),
-        ("scan-self-consistency", scan_self_consistency),
-    ]
-
-
 def cmd_verify(args) -> int:
-    checks = _verification_checks(args.seed)
-    failures = 0
-    for name, check in checks:
-        try:
-            ok, detail = check()
-        except Exception as exc:  # a crashed check is a failed check
-            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        status = "ok  " if ok else "FAIL"
-        print(f"{status} {name}: {detail}")
-        failures += 0 if ok else 1
-    print(f"{len(checks) - failures}/{len(checks)} checks passed (seed={args.seed})")
-    return 0 if failures == 0 else 1
+    passed = []
+    for record in verify.run_checks(args.seed):
+        print(f"{'ok  ' if record.ok else 'FAIL'} {record.name}: {record.detail}")
+        print(f"{record.name}: {record.seconds:.6f} s", file=sys.stderr)
+        passed.append(record.ok)
+    print(f"{sum(passed)}/{len(passed)} checks passed (seed={args.seed})")
+    return 0 if all(passed) else 1
 
 
 # --- argument parsing -------------------------------------------------------

@@ -255,9 +255,6 @@ def coincidence_n3_explicit(
 
     st = ensemble.stats
     n1, n2, n3 = (s.mean_n for s in st)
-    for s in st:
-        if s.max_order < 3:
-            raise ValueError("three-fold coincidence requires g defined to order 3")
 
     if indistinguishable:
         w = circuit.u
@@ -293,8 +290,8 @@ def coincidence_n3_explicit(
             + w[0, 2] * w[1, 1] * w[2, 0]
         )
 
-    g2_1, g2_2, g2_3 = st[0].g[2], st[1].g[2], st[2].g[2]
-    g3_1, g3_2, g3_3 = st[0].g[3], st[1].g[3], st[2].g[3]
+    g2_1, g2_2, g2_3 = (s.g2 for s in st)
+    g3_1, g3_2, g3_3 = (s.g3 for s in st)
 
     total = (
         weight(col3(1)) * n1**3 * g3_1

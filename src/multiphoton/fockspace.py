@@ -135,20 +135,6 @@ def _coincidence_expectation(state: FockState) -> float:
     return total
 
 
-_pure_cache: dict[tuple, float] = {}
-
-
-def _pure_coincidence(circuit: Circuit, occupations: tuple[tuple[Mode, int], ...]) -> float:
-    key = (circuit.u.tobytes(), occupations)
-    hit = _pure_cache.get(key)
-    if hit is None:
-        hit = _coincidence_expectation(evolve(circuit, dict(occupations)))
-        if len(_pure_cache) > 4096:
-            _pure_cache.clear()
-        _pure_cache[key] = hit
-    return hit
-
-
 def oracle_coincidence(
     circuit: Circuit,
     port_inputs: Sequence[Sequence[tuple[float, int]]],
@@ -186,12 +172,12 @@ def oracle_coincidence(
         counts = [c for _, c in combo]
         if sum(counts) < n:
             continue  # some output port must stay empty
-        occupations = tuple(
-            ((port, labels[port - 1]), count)
+        occupations = {
+            (port, labels[port - 1]): count
             for port, count in enumerate(counts, start=1)
             if count > 0
-        )
-        p_raw += weight * _pure_coincidence(circuit, occupations)
+        }
+        p_raw += weight * _coincidence_expectation(evolve(circuit, occupations))
 
     means = [sum(w * c for w, c in components) for components in port_inputs]
     mean_product = math.prod(means)

@@ -59,6 +59,13 @@ class SourceStats:
         return self.g[m]
 
 
+def _orders(max_order: int) -> range:
+    """The orders m >= 2 of a source defined to exactly 0..max_order."""
+    if max_order < 1:
+        raise ValueError(f"max_order must be >= 1, got {max_order}")
+    return range(2, max_order + 1)
+
+
 def _with_prefix(values: list[float], mean_n: float) -> SourceStats:
     return SourceStats(mean_n, (1.0, 1.0, *values))
 
@@ -75,21 +82,19 @@ def fock_stats(n: int, max_order: int = 3) -> SourceStats:
         raise ValueError(f"photon number must be >= 1, got {n}")
     if n > sys.float_info.max:  # the mean is a float
         raise ValueError(f"photon number must be <= {sys.float_info.max:g}")
-    if max_order < 1:
-        raise ValueError("max_order must be >= 1")
-    gs = [math.perm(n, m) / n**m if m <= n else 0.0 for m in range(2, max_order + 1)]
+    gs = [math.perm(n, m) / n**m if m <= n else 0.0 for m in _orders(max_order)]
     return _with_prefix(gs, float(n))
 
 
 def laser_stats(max_order: int = 3, mean_n: float = 1.0) -> SourceStats:
     """Poissonian (coherent) light: g^(m) = 1 for all m."""
-    return _with_prefix([1.0] * (max_order - 1), mean_n)
+    return _with_prefix([1.0] * len(_orders(max_order)), mean_n)
 
 
 def thermal_stats(max_order: int = 3, mean_n: float = 1.0) -> SourceStats:
     """Thermal light: g^(m) = m!  (g2 = 2, g3 = 6, ...)."""
     try:
-        gs = [float(math.factorial(m)) for m in range(2, max_order + 1)]
+        gs = [float(math.factorial(m)) for m in _orders(max_order)]
     except OverflowError:  # beyond the largest float, so far beyond G_CAP
         raise ValueError(f"g({max_order}) = {max_order}! outside [0, {G_CAP:g}]") from None
     return _with_prefix(gs, mean_n)
@@ -105,7 +110,7 @@ def diluted_laser_stats(p: float, max_order: int = 3) -> SourceStats:
     if not 0 < p <= 1:
         raise ValueError(f"dilution probability must be in (0, 1], got {p}")
     try:
-        gs = [p ** (1 - m) for m in range(2, max_order + 1)]
+        gs = [p ** (1 - m) for m in _orders(max_order)]
     except OverflowError:  # beyond the largest float, so far beyond G_CAP
         raise ValueError(f"g({max_order}) = {p:g}^{1 - max_order} outside [0, {G_CAP:g}]") from None
     return _with_prefix(gs, p)
@@ -124,11 +129,11 @@ def vac12_mixture_stats(p: float, q: float, max_order: int = 3) -> SourceStats:
         raise ValueError(f"single-photon branching must be in [0, 1], got {q}")
     mean = (1 - p) * (2 - q)
     g2 = 2 * (1 - q) / ((1 - p) * (2 - q) ** 2)
-    gs = [g2] + [0.0] * (max_order - 2)
+    gs = [g2 if m == 2 else 0.0 for m in _orders(max_order)]
     return _with_prefix(gs, mean)
 
 
 def custom_stats(g2: float, g3: float | None = None, mean_n: float = 1.0) -> SourceStats:
-    """Source specified directly by its low-order autocorrelations."""
+    """Source given directly by its low-order autocorrelations, defined to the highest one given."""
     values = [float(g2)] if g3 is None else [float(g2), float(g3)]
     return _with_prefix(values, mean_n)

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from multiphoton import cli, circuits, coincidence, linalg, sources
+from multiphoton import cli, circuits, coincidence, fockspace, linalg, sources, verify
 from multiphoton.cli import (
     UsageError,
     load_circuit_json,
@@ -85,11 +85,9 @@ def test_parse_source_rejects_malformed(bad):
         ["hom", "--source", "diluted:5e-324"],
         ["sym", "--sources", "diluted:1e-200", "--scan-phi", "0:1:3"],
         ["hom", "--source", "fock:1" + "0" * 400],
-        ["coinc", "--circuit", "IDENTITY_171", "--sources", "thermal"],  # 171! > max float
     ],
 )
-def test_overflowing_source_spec_is_a_usage_error(capsys, tmp_path, argv):
-    argv = [circuit_file(tmp_path, np.eye(171)) if arg == "IDENTITY_171" else arg for arg in argv]
+def test_overflowing_source_spec_is_a_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -437,8 +435,9 @@ def test_coinc_with_custom_circuit_matches_builtin(tmp_path, capsys):
         None,
         "{not json",
         json.dumps({"n": 3, "re": np.eye(2).tolist(), "im": np.zeros((2, 2)).tolist()}),
+        '{"n": 1e400, "re": [[1]], "im": [[0]]}',
     ],
-    ids=["missing", "invalid-json", "n-mismatch"],
+    ids=["missing", "invalid-json", "n-mismatch", "n-infinite"],
 )
 def test_coinc_unloadable_circuit_file_is_a_usage_error(tmp_path, capsys, text):
     path = tmp_path / "circuit.json"
@@ -448,6 +447,17 @@ def test_coinc_unloadable_circuit_file_is_a_usage_error(tmp_path, capsys, text):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("n", [0, coincidence.MAX_PORTS + 1, 171])
+def test_coinc_circuit_port_count_is_refused_when_read(tmp_path, capsys, monkeypatch, n):
+    path = circuit_file(tmp_path, np.eye(n))
+    monkeypatch.setattr(circuits, "custom", lambda u: pytest.fail("the circuit was built"))
+    monkeypatch.setattr(sources, "thermal_stats", lambda *a: pytest.fail("a source was built"))
+    code, out, err = run_cli(capsys, "coinc", "--circuit", path, "--sources", "thermal")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: port count must be in 1..{coincidence.MAX_PORTS}, got {n}\n"
 
 
 def test_coinc_circuit_roundtrip_loader(tmp_path):
@@ -567,6 +577,20 @@ def test_optimize_requires_mode(capsys):
 
 # --- verify -----------------------------------------------------------------------
 
+VERIFY_NAMES = [
+    "permanent-ryser-vs-naive",
+    "permanent-known-values",
+    "hom-engine-vs-closed-form",
+    "balanced3-anchors",
+    "explicit3-vs-general",
+    "mismatch-joint-endpoints",
+    "symmetric-vs-balanced3",
+    "oracle-vs-engines",
+    "thermal-phase-invariance",
+    "scan-self-consistency",
+]
+
+
 def test_verify_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--seed", "7")
     assert code == 0
@@ -577,6 +601,29 @@ def test_verify_deterministic(capsys):
     _, first, _ = run_cli(capsys, "verify", "--seed", "7")
     _, second, _ = run_cli(capsys, "verify", "--seed", "7")
     assert first == second
+
+
+def test_run_checks_yields_every_record_in_cli_order():
+    records = list(verify.run_checks(7))
+    assert [r.name for r in records] == VERIFY_NAMES
+    assert all(r.ok and r.seconds >= 0 for r in records)
+
+
+def test_crashed_check_is_one_failed_record(capsys, monkeypatch):
+    def broken(*args):
+        raise RuntimeError("oracle down")
+
+    monkeypatch.setattr(fockspace, "oracle_coincidence", broken)
+    records = list(verify.run_checks(7))
+    assert [r.name for r in records] == VERIFY_NAMES
+    assert [(r.name, r.detail) for r in records if not r.ok] == [
+        ("oracle-vs-engines", "raised RuntimeError: oracle down")
+    ]
+    code, out, err = run_cli(capsys, "verify", "--seed", "7")
+    assert code == 1
+    assert "FAIL oracle-vs-engines: raised RuntimeError: oracle down" in out.splitlines()
+    assert out.splitlines()[-1] == "9/10 checks passed (seed=7)"
+    assert [line.split(":")[0] for line in err.splitlines()] == VERIFY_NAMES
 
 
 def test_verify_detects_injected_sign_flip(capsys, monkeypatch):
@@ -596,6 +643,14 @@ def test_verify_detects_injected_sign_flip(capsys, monkeypatch):
         "permanent-ryser-vs-naive",
     ]
     assert [word for word, _ in rows].count("ok") == 8
+
+
+def test_importing_the_cli_loads_the_oracle():
+    # Tools that wrap the layer modules look them up in sys.modules right
+    # after this import, and the CLI reaches fockspace only through verify.
+    code = "import sys, multiphoton.cli; print('multiphoton.fockspace' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.stdout == "True\n"
 
 
 def test_console_entry_point():

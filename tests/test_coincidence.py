@@ -227,7 +227,7 @@ def test_explicit_rejects_other_sizes():
 
 def test_missing_order_is_reported():
     ens = uniform_ensemble(3, sources.custom_stats(1.0))  # defined to order 2 only
-    for engine in (coincidence_id_general, coincidence_dist_general):
+    for engine in (coincidence_id_general, coincidence_dist_general, coincidence_n3_explicit):
         with pytest.raises(ValueError, match=r"g\(3\)") as info:
             engine(circuits.dft(3), ens)
         assert str(info.value) == (

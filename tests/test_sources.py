@@ -110,6 +110,31 @@ def test_diluted_laser_overflow_guard(p):
         sources.diluted_laser_stats(p, max_order=3)
 
 
+def test_thermal_overflow_guard():
+    with pytest.raises(ValueError, match=r"g\(171\) = 171! outside"):
+        sources.thermal_stats(171)
+
+
+FAMILIES = {
+    "fock": lambda k: sources.fock_stats(2, k),
+    "laser": lambda k: sources.laser_stats(k),
+    "thermal": lambda k: sources.thermal_stats(k),
+    "diluted": lambda k: sources.diluted_laser_stats(0.5, k),
+    "vac12": lambda k: sources.vac12_mixture_stats(0.3, 0.7, k),
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_every_family_defines_exactly_the_orders_asked(family):
+    build = FAMILIES[family]
+    full = build(4).g
+    for k in range(1, 5):
+        assert build(k).g == full[: k + 1]
+    for k in (0, -3):
+        with pytest.raises(ValueError, match=f"max_order must be >= 1, got {k}"):
+            build(k)
+
+
 def test_vac12_pure_single_photon():
     stats = sources.vac12_mixture_stats(0.0, 1.0)
     assert stats.g2 == 0.0

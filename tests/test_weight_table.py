@@ -228,6 +228,25 @@ def test_uniform_thermal_and_laser_invariants(n, seed):
     assert abs(coincidence_dist_general(circuit, laser).p_normalized - 1) <= 1e-10
 
 
+@given(st.integers(2, MAX_PORTS), st.integers(0, 2**32 - 1))
+@settings(max_examples=30)
+def test_heterogeneous_thermal_and_laser_references(n, seed):
+    """Two references that enumerate no patterns, for any port means:
+    thermal P_id = Per(U diag(n) U^dagger) and laser P_dist = prod_i (V n)_i,
+    with V = |U|^2.  One port is dark; both still hold there."""
+    rng = np.random.default_rng(seed)
+    u = haar(seed, n)
+    means = rng.uniform(0.05, 5, n)
+    means[rng.integers(n)] = 0.0
+    circuit = circuits.custom(u)
+    thermal = InputEnsemble(tuple(sources.thermal_stats(n, mean_n=m) for m in means))
+    laser = InputEnsemble(tuple(sources.laser_stats(n, mean_n=m) for m in means))
+    want_thermal = linalg.permanent(u @ np.diag(means) @ u.conj().T).real
+    want_laser = np.prod(linalg.mod_squared(u) @ means)
+    assert coincidence_id_general(circuit, thermal).p_raw == pytest.approx(want_thermal, rel=1e-12)
+    assert coincidence_dist_general(circuit, laser).p_raw == pytest.approx(want_laser, rel=1e-12)
+
+
 @pytest.mark.parametrize("n", range(2, MAX_PORTS + 1))
 def test_zero_transmission_law_dft(n):
     """Tichy et al., PRL 104, 220405 (2010): on DFT(N), w_id vanishes at
