@@ -79,7 +79,7 @@ def parse_source_spec(text: str, max_order: int = 3) -> tuple[str, sources.Sourc
     """Parse a source description string.
 
     Accepted forms: fock:<n>, laser, thermal, diluted:<p>, noise-opt,
-    vac12:<p>,<q>, custom:g2=<x>,g3=<y>.
+    vac12:<p>,<q>, custom:g2=<x>[,g3=<y>].
     """
     text = text.strip()
     try:
@@ -97,7 +97,10 @@ def parse_source_spec(text: str, max_order: int = 3) -> tuple[str, sources.Sourc
             p, q = (float(x) for x in text[6:].split(","))
             return text, sources.vac12_mixture_stats(p, q, max_order)
         if text.startswith("custom:"):
-            fields = dict(item.strip().split("=") for item in text[7:].split(","))
+            items = [item.strip().split("=") for item in text[7:].split(",")]
+            fields = dict(item for item in items if len(item) == 2)
+            if len(fields) < len(items) or "g2" not in fields:
+                raise ValueError("expected custom:g2=<x>[,g3=<y>], each field once")
             g2 = float(fields.pop("g2"))
             g3 = float(fields.pop("g3")) if "g3" in fields else None
             if fields:
@@ -130,8 +133,10 @@ def load_circuit_json(path: str) -> circuits.Circuit:
     try:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
-        n = int(data["n"])
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        n = data["n"]
+        if type(n) is not int:  # a JSON integer: not 2.9, 2.0, "2" or true
+            raise TypeError(f"n must be an integer, got {json.dumps(n)}")
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"cannot load circuit from {path}: {exc}") from None
     coincidence.enumerate_exponent_tuples(n)  # refuses n outside 1..MAX_PORTS
     try:

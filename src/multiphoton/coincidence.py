@@ -26,8 +26,11 @@ arrays w_id = |c_U(s)|^2 and w_dist = Re c_V(s), in the order of
 ``enumerate_exponent_tuples(N)``; a pattern sum is then one gather of a
 per-port table T[i, m] = n_i^m g_i^(m), a product over ports and a dot
 product with the weights.  The products do not depend on the weights, so
-the id and dist sums of one ensemble share one product vector: the latest
-ensemble's is memoised, and the second sum costs one dot product.
+the id and dist sums of one ensemble share one product vector.  The latest
+ensemble's stats tuple, products and short-order test are kept as one
+record: a second sum handed the same tuple object costs one dot product,
+with no hash and no scan of the orders, and an equal new tuple still finds
+the products in a one-entry cache keyed by value.
 
 Against the same expansion run exactly in Python ints on the same float
 matrices, the table entries differ by at most 5.6e-17 (absolute) on
@@ -161,13 +164,24 @@ def clear_permanent_cache() -> None:
     """Drop every circuit's weight table and the memoised pattern products
     (the id and dist sums of one ensemble share one product vector; the
     per-N index plans stay)."""
+    global _latest
     _weights_cached.cache_clear()
     _port_products.cache_clear()
+    _latest = _NO_ENSEMBLE
 
 
 # Callers sum one ensemble with w_id and then with w_dist, so one entry,
 # keyed by the stats tuple (SourceStats compare by value), serves the second
-# sum and holds a single K-vector.
+# sum and holds a single K-vector.  In front of it, _latest holds the last
+# summed ensemble's (stats tuple, products, whether some port stops below
+# order N), matched by identity.  The key is tuple(stats), never the
+# container handed in, so a list changed between two sums is a new key.  The
+# record is one tuple, read once and replaced whole, so a concurrent sum
+# never pairs one ensemble's key with another's products.
+
+_NO_ENSEMBLE = (None, None, False)
+_latest = _NO_ENSEMBLE
+
 
 @lru_cache(maxsize=1)
 def _port_products(stats: tuple[SourceStats, ...]) -> np.ndarray:
@@ -175,9 +189,15 @@ def _port_products(stats: tuple[SourceStats, ...]) -> np.ndarray:
     K-vector in table order; orders a port does not define count as 0."""
     n = len(stats)
     take = _expansion_plan(n)[1]
-    table = np.array([stat.g[: n + 1] + (0.0,) * (n - stat.max_order) for stat in stats], dtype=float)
-    means = np.array([stat.mean_n for stat in stats])
-    table *= means[:, None] ** np.arange(n + 1)
+    # The means, then T's rows of g's, in one flat float array: one
+    # conversion, and integer means never take numpy's wrapping int64 powers.
+    pad = (0.0,) * n
+    flat = [stat.mean_n for stat in stats]
+    for stat in stats:
+        flat += (stat.g + pad)[: n + 1]
+    flat = np.array(flat, dtype=float)
+    table = flat[n:].reshape(n, n + 1)
+    table *= flat[:n, None] ** np.arange(n + 1)
     # Indexing reads the read-only take in place; ndarray.take would copy it.
     products = table.ravel()[take].prod(axis=0)
     products.flags.writeable = False
@@ -193,17 +213,27 @@ def _pattern_sum(stats: Sequence[SourceStats], weights: np.ndarray) -> float:
     rule depends on the weights, so it is applied on every call, also when
     the products come from the memo.
     """
-    n = len(stats)
-    if min(stat.max_order for stat in stats) < n:
+    global _latest
+    key = tuple(stats)
+    n = len(key)
+    latest = _latest
+    if latest[0] is key:
+        _, products, short = latest
+    else:
+        products, short = None, min([len(stat.g) for stat in key]) <= n  # some max_order < n
+    if short:
         s = _expansion_plan(n)[0]
-        means = np.array([stat.mean_n for stat in stats])
-        orders = np.array([stat.max_order for stat in stats])
+        means = np.array([stat.mean_n for stat in key])
+        orders = np.array([stat.max_order for stat in key])
         live = (weights != 0) & ~((s > 0) & (means == 0)).any(axis=1)
-        short = np.argwhere((s > orders) & live[:, None])
-        if short.size:
-            k, i = short[0]
-            stats[i]._order(s[k, i])  # raises: s[k, i] is past that port's max_order
-    return float(weights @ _port_products(tuple(stats)))
+        missing = np.argwhere((s > orders) & live[:, None])
+        if missing.size:
+            k, i = missing[0]
+            key[i]._order(s[k, i])  # raises: s[k, i] is past that port's max_order
+    if products is None:
+        products = _port_products(key)
+        _latest = (key, products, short)
+    return float(weights @ products)
 
 
 def _check_ports(circuit: Circuit, ensemble: InputEnsemble) -> None:
@@ -214,7 +244,7 @@ def _check_ports(circuit: Circuit, ensemble: InputEnsemble) -> None:
 
 
 def _as_result(p_raw: float, ensemble: InputEnsemble) -> CoincidenceResult:
-    mean_product = math.prod(s.mean_n for s in ensemble.stats)
+    mean_product = math.prod([s.mean_n for s in ensemble.stats])
     normalized = p_raw / mean_product if mean_product > 0 else math.nan
     return CoincidenceResult(p_raw=p_raw, p_normalized=normalized)
 

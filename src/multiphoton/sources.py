@@ -13,6 +13,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 G_CAP = 1e12  # guard against silent overflow in g2 -> infinity scans
 
@@ -75,9 +76,10 @@ def fock_stats(n: int, max_order: int = 3) -> SourceStats:
 
     g^(2) = 1 - 1/n and g^(3) = (1 - 1/n)(1 - 2/n).
     """
-    if not isinstance(n, numbers.Integral):
-        raise ValueError(f"photon number must be an integer, got {n!r}")
-    n = int(n)
+    if type(n) is not int:  # the common case skips the slow ABC check
+        if not isinstance(n, numbers.Integral):
+            raise ValueError(f"photon number must be an integer, got {n!r}")
+        n = int(n)
     if n < 1:
         raise ValueError(f"photon number must be >= 1, got {n}")
     if n > sys.float_info.max:  # the mean is a float
@@ -93,11 +95,18 @@ def laser_stats(max_order: int = 3, mean_n: float = 1.0) -> SourceStats:
 
 def thermal_stats(max_order: int = 3, mean_n: float = 1.0) -> SourceStats:
     """Thermal light: g^(m) = m!  (g2 = 2, g3 = 6, ...)."""
+    return SourceStats(mean_n, _thermal_g(max_order))
+
+
+# The factorials are constants, so each order's tuple is built once.  typed,
+# so that thermal_stats(3.0) still fails in _orders after a call with 3; no
+# bound is needed, since every order past 170 overflows and is not stored.
+@lru_cache(maxsize=None, typed=True)
+def _thermal_g(max_order: int) -> tuple[float, ...]:
     try:
-        gs = [float(math.factorial(m)) for m in _orders(max_order)]
+        return (1.0, 1.0, *[float(math.factorial(m)) for m in _orders(max_order)])
     except OverflowError:  # beyond the largest float, so far beyond G_CAP
         raise ValueError(f"g({max_order}) = {max_order}! outside [0, {G_CAP:g}]") from None
-    return _with_prefix(gs, mean_n)
 
 
 def diluted_laser_stats(p: float, max_order: int = 3) -> SourceStats:

@@ -101,6 +101,16 @@ def test_custom_spec_with_unknown_field_is_a_usage_error(capsys):
     assert "unknown fields ['g4']" in err
 
 
+@pytest.mark.parametrize(
+    "spec", ["custom:g2=1,g2=5", "custom:g2=1,g3=2,g3=3", "custom:g2", "custom:g2=1=2", "custom:g3=2", "custom:"]
+)
+def test_malformed_custom_spec_is_a_usage_error(capsys, spec):
+    code, out, err = run_cli(capsys, "coinc", "--dft", "2", "--sources", spec)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: bad source spec {spec!r}: expected custom:g2=<x>[,g3=<y>], each field once\n"
+
+
 @pytest.mark.parametrize("command", ["sym", "mismatch"])
 def test_source_without_g3_is_a_usage_error(capsys, command):
     code, out, err = run_cli(capsys, command, "--sources", "custom:g2=2")
@@ -436,8 +446,12 @@ def test_coinc_with_custom_circuit_matches_builtin(tmp_path, capsys):
         "{not json",
         json.dumps({"n": 3, "re": np.eye(2).tolist(), "im": np.zeros((2, 2)).tolist()}),
         '{"n": 1e400, "re": [[1]], "im": [[0]]}',
+        '{"n": 2.9, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]}',
+        '{"n": 2.0, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]}',
+        '{"n": "2", "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]}',
+        '{"n": true, "re": [[1]], "im": [[0]]}',
     ],
-    ids=["missing", "invalid-json", "n-mismatch", "n-infinite"],
+    ids=["missing", "invalid-json", "n-mismatch", "n-infinite", "n-fraction", "n-float", "n-string", "n-bool"],
 )
 def test_coinc_unloadable_circuit_file_is_a_usage_error(tmp_path, capsys, text):
     path = tmp_path / "circuit.json"
@@ -447,6 +461,8 @@ def test_coinc_unloadable_circuit_file_is_a_usage_error(tmp_path, capsys, text):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+    if text is not None and '"n": 3' not in text:  # a port count that is no JSON integer
+        assert err.startswith(f"error: cannot load circuit from {path}: ")
 
 
 @pytest.mark.parametrize("n", [0, coincidence.MAX_PORTS + 1, 171])

@@ -1,6 +1,8 @@
 import itertools
 import math
 import re
+import sys
+import threading
 from functools import partial
 
 import numpy as np
@@ -461,3 +463,99 @@ def test_permanent_cache_can_be_cleared():
     value = coincidence_id_general(circuits.dft(3), ens).p_normalized
     coincidence.clear_permanent_cache()
     assert coincidence_id_general(circuits.dft(3), ens).p_normalized == value
+
+
+# --- the latest ensemble's record in front of the product memo -------------------
+
+def _haar_circuit(rng, n):
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return circuits.custom(np.linalg.qr(z)[0])
+
+
+def _random_stats(rng, n):
+    return [
+        sources.SourceStats(float(rng.uniform(0.1, 3.0)), (1.0, 1.0, *rng.uniform(0, 5, n - 1).tolist()))
+        for _ in range(n)
+    ]
+
+
+def test_cleared_memo_builds_the_products_again():
+    """A sum handed the ensemble it just summed reuses the products without
+    asking the value-keyed cache; clear_permanent_cache makes the next sum
+    build them again."""
+    rng = np.random.default_rng(18)
+    circuit = _haar_circuit(rng, 4)
+    ens = InputEnsemble(stats=tuple(_random_stats(rng, 4)))
+    coincidence_id_general(circuit, ens)
+    info = coincidence._port_products.cache_info()
+    coincidence_dist_general(circuit, ens)
+    assert coincidence._port_products.cache_info() == info
+    coincidence.clear_permanent_cache()
+    misses = coincidence._port_products.cache_info().misses
+    coincidence_dist_general(circuit, ens)
+    assert coincidence._port_products.cache_info().misses == misses + 1
+
+
+def test_memo_follows_a_mutated_stats_list():
+    """An ensemble built on a list that changes between its two sums gets
+    the cold result of the list's new contents: the memo is keyed by a
+    tuple of the stats, not by the container handed in."""
+    rng = np.random.default_rng(19)
+    circuit = _haar_circuit(rng, 5)
+    stats = _random_stats(rng, 5)
+    ens = InputEnsemble(stats=stats)
+    coincidence.clear_permanent_cache()
+    coincidence_id_general(circuit, ens)
+    stats[2] = _random_stats(rng, 5)[0]
+    warm = coincidence_dist_general(circuit, ens).p_raw
+    coincidence.clear_permanent_cache()
+    cold = coincidence_dist_general(circuit, InputEnsemble(stats=tuple(stats))).p_raw
+    assert warm.hex() == cold.hex()
+
+
+@pytest.mark.parametrize("mean", [3, 2**40])
+def test_integer_means_sum_like_float_means(mean):
+    """A port mean given as a Python int gives the bits of the same mean as
+    a float, also where its N-th power would overflow an int64."""
+    circuit = circuits.dft(MAX_PORTS)
+    results = []
+    for value in (mean, float(mean)):
+        coincidence.clear_permanent_cache()
+        ens = uniform_ensemble(MAX_PORTS, sources.SourceStats(value, (1,) * (MAX_PORTS + 1)))
+        results.append(coincidence_dist_general(circuit, ens))
+    assert results[0].p_raw.hex() == results[1].p_raw.hex()
+    assert results[0].p_normalized == pytest.approx(1.0, rel=1e-12)  # uniform laser
+
+
+def test_concurrent_sums_never_mix_ensembles():
+    """Four threads summing the same three ensembles, id then dist, get the
+    single-threaded bits: the record never pairs one ensemble's stats with
+    another's products."""
+    rng = np.random.default_rng(20)
+    circuit = _haar_circuit(rng, 3)
+    ensembles = [InputEnsemble(stats=tuple(_random_stats(rng, 3))) for _ in range(3)]
+    want = [(coincidence_id_general(circuit, e).p_raw, coincidence_dist_general(circuit, e).p_raw) for e in ensembles]
+    wrong, finished = [], []
+
+    def work(offset):
+        for step in range(3000):
+            k = (offset + step) % len(ensembles)
+            got = (coincidence_id_general(circuit, ensembles[k]).p_raw,
+                   coincidence_dist_general(circuit, ensembles[k]).p_raw)
+            if got != want[k]:
+                wrong.append(k)
+        finished.append(offset)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(finished) == [0, 1, 2, 3]
+    assert wrong == []
