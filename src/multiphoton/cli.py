@@ -94,8 +94,10 @@ def parse_source_spec(text: str, max_order: int = 3) -> tuple[str, sources.Sourc
         if text.startswith("diluted:"):
             return text, sources.diluted_laser_stats(float(text[8:]), max_order)
         if text.startswith("vac12:"):
-            p, q = (float(x) for x in text[6:].split(","))
-            return text, sources.vac12_mixture_stats(p, q, max_order)
+            fields = text[6:].split(",")
+            if len(fields) != 2:
+                raise ValueError("expected vac12:<p>,<q>")
+            return text, sources.vac12_mixture_stats(*map(float, fields), max_order)
         if text.startswith("custom:"):
             items = [item.strip().split("=") for item in text[7:].split(",")]
             fields = dict(item for item in items if len(item) == 2)
@@ -183,7 +185,7 @@ def cmd_hom(args) -> int:
     if args.scan_g2 is not None:
         grid = parse_grid_spec(args.scan_g2)
     elif args.source is not None:
-        _, stats = parse_source_spec(args.source)
+        _, stats = parse_source_spec(args.source, max_order=2)  # a 2-port sum reads no g past g2
         grid = np.array([stats.g2])
     else:
         grid = np.array([args.g2])

@@ -28,9 +28,9 @@ per-port table T[i, m] = n_i^m g_i^(m), a product over ports and a dot
 product with the weights.  The products do not depend on the weights, so
 the id and dist sums of one ensemble share one product vector.  The latest
 ensemble's stats tuple, products and short-order test are kept as one
-record: a second sum handed the same tuple object costs one dot product,
-with no hash and no scan of the orders, and an equal new tuple still finds
-the products in a one-entry cache keyed by value.
+record, the pattern sum's only memo: a second sum handed the same tuple
+object, or an equal one, costs one dot product, with no hash and no scan of
+the orders.
 
 Against the same expansion run exactly in Python ints on the same float
 matrices, the table entries differ by at most 5.6e-17 (absolute) on
@@ -161,29 +161,27 @@ def _weights(circuit: Circuit) -> tuple[np.ndarray, np.ndarray]:
 
 
 def clear_permanent_cache() -> None:
-    """Drop every circuit's weight table and the memoised pattern products
-    (the id and dist sums of one ensemble share one product vector; the
-    per-N index plans stay)."""
+    """Drop every circuit's weight table and the latest ensemble's pattern
+    products (the id and dist sums of one ensemble share one product vector;
+    the per-N index plans stay)."""
     global _latest
     _weights_cached.cache_clear()
-    _port_products.cache_clear()
     _latest = _NO_ENSEMBLE
 
 
-# Callers sum one ensemble with w_id and then with w_dist, so one entry,
-# keyed by the stats tuple (SourceStats compare by value), serves the second
-# sum and holds a single K-vector.  In front of it, _latest holds the last
-# summed ensemble's (stats tuple, products, whether some port stops below
-# order N), matched by identity.  The key is tuple(stats), never the
-# container handed in, so a list changed between two sums is a new key.  The
-# record is one tuple, read once and replaced whole, so a concurrent sum
-# never pairs one ensemble's key with another's products.
+# Callers sum one ensemble with w_id and then with w_dist, so the pattern
+# sum's only memo, _latest, holds the last summed ensemble's (stats tuple,
+# products, whether some port stops below order N).  A sum handed the same
+# tuple object or an equal one reuses it: SourceStats compare by value, so
+# equal tuples have equal products, and nothing is hashed.  The key is
+# tuple(stats), never the container handed in, so a list changed between two
+# sums is a new key.  The record is one tuple, read once and replaced whole,
+# so a concurrent sum never pairs one ensemble's key with another's products.
 
 _NO_ENSEMBLE = (None, None, False)
 _latest = _NO_ENSEMBLE
 
 
-@lru_cache(maxsize=1)
 def _port_products(stats: tuple[SourceStats, ...]) -> np.ndarray:
     """prod_i n_i^{s_ki} g_i^(s_ki) for every pattern s_k, as a read-only
     K-vector in table order; orders a port does not define count as 0."""
@@ -211,16 +209,16 @@ def _pattern_sum(stats: Sequence[SourceStats], weights: np.ndarray) -> float:
     term of nonzero weight that needs an order some port does not define
     is an error, so relabelling the ports never changes the outcome.  The
     rule depends on the weights, so it is applied on every call, also when
-    the products come from the memo.
+    the products come from the record.
     """
     global _latest
     key = tuple(stats)
     n = len(key)
     latest = _latest
-    if latest[0] is key:
-        _, products, short = latest
-    else:
-        products, short = None, min([len(stat.g) for stat in key]) <= n  # some max_order < n
+    if not (latest[0] is key or latest[0] == key):
+        short = min([len(stat.g) for stat in key]) <= n  # some max_order < n
+        latest = _latest = (key, _port_products(key), short)
+    _, products, short = latest
     if short:
         s = _expansion_plan(n)[0]
         means = np.array([stat.mean_n for stat in key])
@@ -230,9 +228,6 @@ def _pattern_sum(stats: Sequence[SourceStats], weights: np.ndarray) -> float:
         if missing.size:
             k, i = missing[0]
             key[i]._order(s[k, i])  # raises: s[k, i] is past that port's max_order
-    if products is None:
-        products = _port_products(key)
-        _latest = (key, products, short)
     return float(weights @ products)
 
 
@@ -416,13 +411,14 @@ def coincidence_sym_phase(phi, g2, g3, indistinguishable: bool = True):
         dist: 3|a|^2|b|^4 g3 + 6|b|^2 (|a|^4 + |a|^2|b|^2 + |b|^4) g2
                  + |a|^6 + 3|a|^2|b|^4 + 2|b|^6
 
-    Must agree with the general engines applied to the same circuit.
+    Must agree with the general engines applied to the same circuit.  phi
+    must be finite, as circuits.symmetric requires.
     """
     _check_autocorrelations(g2=g2, g3=g3)
-    if isinstance(phi, (float, int)):
-        e = complex(math.cos(phi), math.sin(phi))
-    else:
-        e = np.cos(phi) + 1j * np.sin(phi)
+    scalar = isinstance(phi, (float, int))  # the quick path skips numpy
+    if not (math.isfinite(phi) if scalar else np.all(np.isfinite(phi))):
+        raise ValueError("phi must be finite")
+    e = complex(math.cos(phi), math.sin(phi)) if scalar else np.cos(phi) + 1j * np.sin(phi)
     a = (2 + e) / 3
     b = (-1 + e) / 3
     aa = abs(a) ** 2

@@ -101,14 +101,23 @@ def test_custom_spec_with_unknown_field_is_a_usage_error(capsys):
     assert "unknown fields ['g4']" in err
 
 
+SPEC_FORMS = {"custom": "custom:g2=<x>[,g3=<y>], each field once", "vac12": "vac12:<p>,<q>"}
+
+
 @pytest.mark.parametrize(
-    "spec", ["custom:g2=1,g2=5", "custom:g2=1,g3=2,g3=3", "custom:g2", "custom:g2=1=2", "custom:g3=2", "custom:"]
+    "spec",
+    [
+        "custom:g2=1,g2=5", "custom:g2=1,g3=2,g3=3", "custom:g2", "custom:g2=1=2", "custom:g3=2", "custom:",
+        "vac12:0.5", "vac12:0.5,0.5,0.2",
+    ],
 )
 def test_malformed_custom_spec_is_a_usage_error(capsys, spec):
+    """A spec of the wrong shape gets an error that names its form."""
     code, out, err = run_cli(capsys, "coinc", "--dft", "2", "--sources", spec)
     assert code == 2
     assert out == ""
-    assert err == f"error: bad source spec {spec!r}: expected custom:g2=<x>[,g3=<y>], each field once\n"
+    form = SPEC_FORMS[spec.split(":")[0]]
+    assert err == f"error: bad source spec {spec!r}: expected {form}\n"
 
 
 @pytest.mark.parametrize("command", ["sym", "mismatch"])
@@ -199,6 +208,18 @@ def test_hom_source_flag(capsys):
     rows = read_csv(out)
     assert float(rows[0]["g2"]) == 2.0
     assert float(rows[0]["v"]) == pytest.approx(1 / 3)
+
+
+@pytest.mark.parametrize("spec", ["thermal", "fock:2", "diluted:1e-7", "noise-opt"])
+def test_hom_source_matches_coinc_on_a_balanced_beamsplitter(capsys, spec):
+    """hom --source builds its source to order 2, as coinc does on 2 ports,
+    so a source whose g(3) is past the cap still gives hom a row."""
+    vs = []
+    for argv in (["hom", "--R", "0.5", "--source", spec], ["coinc", "--beamsplitter", "0.5", "--sources", spec]):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        vs.append(float(read_csv(out)[0]["v"]))
+    assert vs[0] == pytest.approx(vs[1], abs=1e-12)
 
 
 def test_hom_requires_some_input(capsys):

@@ -457,6 +457,15 @@ def test_closed_forms_reject_nan_or_g_past_the_cap(closed_form, args, name):
         closed_form(**args)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("kind", ["float", "array"])
+def test_sym_phase_rejects_non_finite_phi(bad, kind):
+    phi = bad if kind == "float" else np.array([0.7, bad, 1.0])
+    for indistinguishable in (True, False):
+        with pytest.raises(ValueError, match=r"^phi must be finite$"):
+            coincidence_sym_phase(phi, 1.0, 1.0, indistinguishable)
+
+
 def test_permanent_cache_can_be_cleared():
     coincidence.clear_permanent_cache()
     ens = uniform_ensemble(3, sources.laser_stats())
@@ -465,7 +474,7 @@ def test_permanent_cache_can_be_cleared():
     assert coincidence_id_general(circuits.dft(3), ens).p_normalized == value
 
 
-# --- the latest ensemble's record in front of the product memo -------------------
+# --- the latest ensemble's record, the pattern sum's only memo -------------------
 
 def _haar_circuit(rng, n):
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -479,21 +488,53 @@ def _random_stats(rng, n):
     ]
 
 
-def test_cleared_memo_builds_the_products_again():
-    """A sum handed the ensemble it just summed reuses the products without
-    asking the value-keyed cache; clear_permanent_cache makes the next sum
-    build them again."""
+def test_cleared_memo_builds_the_products_again(monkeypatch):
+    """A sum handed the ensemble it just summed, or an equal but distinct
+    tuple, builds no products; clear_permanent_cache makes the next sum
+    build them once."""
+    builds = []
+    build = coincidence._port_products
+
+    def counted(key):
+        builds.append(key)
+        return build(key)
+
+    monkeypatch.setattr(coincidence, "_port_products", counted)
     rng = np.random.default_rng(18)
     circuit = _haar_circuit(rng, 4)
     ens = InputEnsemble(stats=tuple(_random_stats(rng, 4)))
-    coincidence_id_general(circuit, ens)
-    info = coincidence._port_products.cache_info()
-    coincidence_dist_general(circuit, ens)
-    assert coincidence._port_products.cache_info() == info
     coincidence.clear_permanent_cache()
-    misses = coincidence._port_products.cache_info().misses
+    coincidence_id_general(circuit, ens)
+    assert builds == [ens.stats]
     coincidence_dist_general(circuit, ens)
-    assert coincidence._port_products.cache_info().misses == misses + 1
+    twin = InputEnsemble(stats=tuple(list(ens.stats)))
+    assert twin.stats is not ens.stats
+    coincidence_id_general(circuit, twin)
+    assert len(builds) == 1
+    coincidence.clear_permanent_cache()
+    coincidence_dist_general(circuit, ens)
+    coincidence_id_general(circuit, ens)
+    assert len(builds) == 2
+
+
+def test_pattern_sum_never_hashes_source_stats(monkeypatch):
+    """The record matches an ensemble by identity and then by value, so no
+    sum hashes a SourceStats, whether the ensemble holds a tuple or a list."""
+    rng = np.random.default_rng(20)
+    circuit = _haar_circuit(rng, 5)
+    stats = _random_stats(rng, 5)
+    expected = [engine(circuit, InputEnsemble(stats=tuple(stats))).p_raw
+                for engine in (coincidence_id_general, coincidence_dist_general)]
+
+    def refuse(self):
+        raise AssertionError("SourceStats hashed")
+
+    monkeypatch.setattr(sources.SourceStats, "__hash__", refuse)
+    for ens in (InputEnsemble(stats=tuple(stats)), InputEnsemble(stats=list(stats))):
+        coincidence.clear_permanent_cache()
+        got = [engine(circuit, ens).p_raw
+               for engine in (coincidence_id_general, coincidence_dist_general)]
+        assert got == expected
 
 
 def test_memo_follows_a_mutated_stats_list():

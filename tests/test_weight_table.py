@@ -478,15 +478,19 @@ def test_memoised_products_still_check_missing_orders():
         with pytest.raises(ValueError, match=message):
             engine(haar3, ens)
         assert engine(identity, ens).p_raw == 1.0
-        assert coincidence._port_products.cache_info().currsize == 1
+        assert coincidence._latest[0] is ens.stats  # the next sum is a record hit
         with pytest.raises(ValueError, match=message):
             engine(haar3, ens)
 
 
 def test_memoised_products_are_read_only():
-    stats = uniform_ensemble(3, sources.thermal_stats()).stats
-    products = coincidence._port_products(stats)
+    ens = uniform_ensemble(3, sources.thermal_stats())
+    coincidence.clear_permanent_cache()
+    coincidence_id_general(circuits.dft(3), ens)
+    key, products, _ = coincidence._latest
+    assert key == ens.stats
     assert products.shape == (len(enumerate_exponent_tuples(3)),)
     with pytest.raises(ValueError):
         products[0] = 1.0
-    assert coincidence._port_products(stats) is products
+    coincidence_dist_general(circuits.dft(3), ens)
+    assert coincidence._latest[1] is products
