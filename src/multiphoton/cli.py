@@ -107,7 +107,7 @@ def parse_source_spec(text: str, max_order: int = 3) -> tuple[str, sources.Sourc
             g3 = float(fields.pop("g3")) if "g3" in fields else None
             if fields:
                 raise ValueError(f"unknown fields {sorted(fields)}")
-            return text, sources.custom_stats(g2, g3)
+            return text, sources.custom_stats(g2, g3 if max_order >= 3 else None)
     except (ValueError, KeyError) as exc:
         raise UsageError(f"bad source spec {text!r}: {exc}") from None
     raise UsageError(f"unknown source spec {text!r}")

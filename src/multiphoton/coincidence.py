@@ -135,12 +135,12 @@ def _expansion_plan(n: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, .
 # The weights depend only on the circuit, so each circuit gets one table
 # that scans then reuse across thousands of source configurations: the pair
 # (w_id, w_dist) of read-only float arrays, entry k belonging to pattern
-# enumerate_exponent_tuples(N)[k].  Keyed by the matrix bytes; lru_cache
-# makes concurrent readers safe.
+# enumerate_exponent_tuples(N)[k].  Keyed by the Circuit object, whose
+# matrix is frozen; lru_cache makes concurrent readers safe.
 
 @lru_cache(maxsize=256)
-def _weights_cached(n: int, key: bytes) -> tuple[np.ndarray, np.ndarray]:
-    u = np.frombuffer(key, dtype=np.complex128).reshape(n, n)
+def _weights(circuit: Circuit) -> tuple[np.ndarray, np.ndarray]:
+    n, u = circuit.n, circuit.u
     m = np.stack((u, np.abs(u) ** 2), axis=-1)[..., None]  # m[i, j] = [[u_ij], [v_ij]]
     # Multiply in one row factor sum_j m_ij x_j at a time.  np.add.at adds
     # unbuffered in input order, j-major, so colliding terms sum in j order.
@@ -150,22 +150,17 @@ def _weights_cached(n: int, key: bytes) -> tuple[np.ndarray, np.ndarray]:
         np.add.at(grown, shifts.ravel(), (m[i] * coeffs).ravel())
         coeffs = grown.reshape(2, -1)
     w_id = np.abs(coeffs[0]) ** 2
-    w_dist = np.ascontiguousarray(coeffs[1].real)
+    w_dist = coeffs[1].real.copy()
     w_id.flags.writeable = w_dist.flags.writeable = False
     return w_id, w_dist
 
 
-def _weights(circuit: Circuit) -> tuple[np.ndarray, np.ndarray]:
-    u = np.ascontiguousarray(circuit.u, dtype=np.complex128)
-    return _weights_cached(u.shape[0], u.tobytes())
-
-
 def clear_permanent_cache() -> None:
-    """Drop every circuit's weight table and the latest ensemble's pattern
-    products (the id and dist sums of one ensemble share one product vector;
-    the per-N index plans stay)."""
+    """Drop the weight table of every cached Circuit object and the latest
+    ensemble's pattern products (the id and dist sums of one ensemble share
+    one product vector; the per-N index plans stay)."""
     global _latest
-    _weights_cached.cache_clear()
+    _weights.cache_clear()
     _latest = _NO_ENSEMBLE
 
 

@@ -66,9 +66,10 @@ def _checks(rng: np.random.Generator):
     def hom_engine_vs_closed():
         worst = 0.0
         for r in np.linspace(0, 1, 5).tolist():
+            circuit = circuits.beamsplitter(r)
             for g2 in np.linspace(0, 4, 5).tolist():
                 ens = coincidence.uniform_ensemble(2, sources.custom_stats(g2))
-                for flag, p in zip((True, False), _engines(circuits.beamsplitter(r), ens)):
+                for flag, p in zip((True, False), _engines(circuit, ens)):
                     worst = max(worst, abs(p - coincidence.coincidence_hom(r, g2, flag)))
         return worst < 1e-12, f"max gap {worst:.2e}"
 
@@ -122,11 +123,12 @@ def _checks(rng: np.random.Generator):
 
     def oracle_vs_engines():
         worst = 0.0
+        dft3 = circuits.dft(3)
         cases = [  # every port fed the same Fock mixture of (weight, photon count)
-            (circuits.dft(3), [(1.0, 1)]),
+            (dft3, [(1.0, 1)]),
             (circuits.dft(2), [(1.0, 1)]),
             (circuits.beamsplitter(0.3), [(1.0, 2)]),
-            (circuits.dft(3), [(0.3, 0), (0.49, 1), (0.21, 2)]),
+            (dft3, [(0.3, 0), (0.49, 1), (0.21, 2)]),
         ]
         for circuit, components in cases:
             n, port_inputs = circuit.n, [components] * circuit.n

@@ -85,6 +85,7 @@ def test_parse_source_rejects_malformed(bad):
         ["hom", "--source", "diluted:5e-324"],
         ["sym", "--sources", "diluted:1e-200", "--scan-phi", "0:1:3"],
         ["hom", "--source", "fock:1" + "0" * 400],
+        ["coinc", "--dft", "3", "--sources", "custom:g2=1,g3=2e12"],
     ],
 )
 def test_overflowing_source_spec_is_a_usage_error(capsys, argv):
@@ -220,6 +221,20 @@ def test_hom_source_matches_coinc_on_a_balanced_beamsplitter(capsys, spec):
         assert code == 0
         vs.append(float(read_csv(out)[0]["v"]))
     assert vs[0] == pytest.approx(vs[1], abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "argv", [["hom", "--R", "0.5", "--source"], ["coinc", "--beamsplitter", "0.5", "--sources"]]
+)
+def test_two_port_commands_read_no_custom_g3(capsys, argv):
+    """A 2-port sum reads nothing past g2, so a custom g(3) past the cap is
+    not built and the output is that of the same spec without it."""
+    outs = []
+    for spec in ("custom:g2=1,g3=2e12", "custom:g2=1"):
+        code, out, _ = run_cli(capsys, *argv, spec)
+        assert code == 0
+        outs.append(out.replace(f'"{spec}"', spec).replace(spec, "<spec>"))  # coinc's label
+    assert outs[0] == outs[1]
 
 
 def test_hom_requires_some_input(capsys):
@@ -471,8 +486,13 @@ def test_coinc_with_custom_circuit_matches_builtin(tmp_path, capsys):
         '{"n": 2.0, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]}',
         '{"n": "2", "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]}',
         '{"n": true, "re": [[1]], "im": [[0]]}',
+        '{"n": 2, "re": [[1, 0], [0]], "im": [[0, 0], [0, 0]]}',
+        '{"n": 2, "re": [[1, 0], [0, 1]]}',
     ],
-    ids=["missing", "invalid-json", "n-mismatch", "n-infinite", "n-fraction", "n-float", "n-string", "n-bool"],
+    ids=[
+        "missing", "invalid-json", "n-mismatch", "n-infinite", "n-fraction", "n-float", "n-string", "n-bool",
+        "re-ragged", "im-missing",
+    ],
 )
 def test_coinc_unloadable_circuit_file_is_a_usage_error(tmp_path, capsys, text):
     path = tmp_path / "circuit.json"

@@ -125,6 +125,23 @@ def test_oracle_port_count_validated():
         oracle_coincidence(circuits.dft(3), [[(1.0, 1)]] * 2)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: evolve(circuits.dft(3), {(4, 1): 1}), "input port 4 out of range 1..3"),
+        (lambda: evolve(circuits.dft(2), {(1, 1): -1, (2, 1): 2}), "occupations must be non-negative"),
+        (lambda: oracle_coincidence(circuits.dft(2), [[(1.0, 1)]] * 2, labels=[1]), "need 2 labels, got 1"),
+        (lambda: oracle_mismatch_single_photons(circuits.dft(2), 0.5), "sequential-overlap oracle is 3-port only"),
+        (lambda: oracle_mismatch_single_photons(circuits.dft(3), 2.5), r"overlap parameter must be in \[0, 2\], got 2.5"),
+        (lambda: oracle_mismatch_single_photons(circuits.dft(3), -0.1), r"overlap parameter must be in \[0, 2\], got -0.1"),
+    ],
+    ids=["input-port", "negative-occupation", "label-count", "mismatch-not-3-port", "xi-above-2", "xi-below-0"],
+)
+def test_oracle_rejects_bad_input(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_oracle_vacuum_port_still_counts_routed_photons():
     # a dark input port does not force zero coincidence: photons from the
     # bright ports can still fan out across all outputs

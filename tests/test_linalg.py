@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -77,6 +78,13 @@ def test_non_finite_part_rejected(check, entry):
     m[1, 2] = entry
     with pytest.raises(ValueError, match="^matrix entries must be finite$"):
         check(m)
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 2, 2), (0, 0)])
+@pytest.mark.parametrize("check", [circuits.custom, linalg.check_unitary, linalg.permanent])
+def test_not_a_matrix_rejected(check, shape):
+    with pytest.raises(ValueError, match=re.escape(f"expected a 2-D matrix, got shape {shape}")):
+        check(np.ones(shape))
 
 
 def test_finite_matrix_passes_finiteness_check():

@@ -160,6 +160,9 @@ def test_vac12_high_vacuum_drives_g2_up():
 def test_vac12_rejects_degenerate():
     with pytest.raises(ValueError):
         sources.vac12_mixture_stats(1.0, 0.5)
+    for q in (-0.1, 1.5):
+        with pytest.raises(ValueError, match=rf"single-photon branching must be in \[0, 1\], got {q}"):
+            sources.vac12_mixture_stats(0.5, q)
 
 
 def test_custom_stats_orders():
@@ -180,6 +183,8 @@ def test_source_stats_validates_convention():
         sources.SourceStats(1.0, (1.0, 0.9, 1.0))
     with pytest.raises(ValueError):
         sources.SourceStats(-1.0, (1.0, 1.0, 1.0))
+    with pytest.raises(ValueError, match="g sequence must cover at least orders 0 and 1"):
+        sources.SourceStats(1.0, (1.0,))
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0, 1.0001e12])

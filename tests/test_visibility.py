@@ -142,6 +142,11 @@ def test_gaussian_bound_maximum_location():
     assert grid[i] == pytest.approx(1.7, abs=0.1)
 
 
+def test_gaussian_bound_rejects_negative_g2():
+    with pytest.raises(ValueError, match=r"g2 must be >= 0, got -0.1"):
+        v3_gaussian_bound(-0.1)
+
+
 def test_gaussian_bound_witness_regime_boundary():
     # below g2 = 4/9 the pure-Gaussian curve is a non-Gaussianity witness
     assert v3_gaussian_bound(4 / 9) == pytest.approx(

@@ -216,6 +216,29 @@ def test_table_is_read_only():
         w_dist[0] = 1.0
 
 
+def test_table_cache_is_keyed_by_the_circuit_object():
+    """A circuit's second lookup returns its tables and builds nothing; a
+    second circuit on the same matrix builds its own, with the same bits;
+    clear_permanent_cache makes the first circuit build again."""
+    u = haar(21, 5)
+    first = circuits.custom(u)
+    coincidence.clear_permanent_cache()
+    tables = coincidence._weights(first)
+    again = coincidence._weights(first)
+    assert again[0] is tables[0] and again[1] is tables[1]
+    assert coincidence._weights.cache_info().misses == 1
+
+    twin = coincidence._weights(circuits.custom(u))
+    assert coincidence._weights.cache_info().misses == 2
+    coincidence.clear_permanent_cache()
+    rebuilt = coincidence._weights(first)
+    assert coincidence._weights.cache_info().misses == 1
+    for built in (twin, rebuilt):
+        for a, b in zip(built, tables):
+            assert a is not b
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 # --- exact invariants at any N --------------------------------------------------
 
 @given(st.integers(2, MAX_PORTS), st.integers(0, 2**32 - 1))
