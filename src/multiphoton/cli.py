@@ -203,17 +203,11 @@ def cmd_dft_vis(args) -> int:
     return 0
 
 
-def cmd_mismatch(args) -> int:
-    grid = parse_grid_spec(args.scan_xi)
-    results = scan_overlap(parse_source_list(args.sources), grid)
-    _emit(_scan_csv(results, "xi"), args.output)
-    return 0
-
-
-def cmd_sym(args) -> int:
-    grid = parse_grid_spec(args.scan_phi)
-    results = scan_phase(parse_source_list(args.sources), grid)
-    _emit(_scan_csv(results, "phi"), args.output)
+def cmd_source_scan(args) -> int:
+    """``mismatch`` and ``sym``: one curve per ``--sources`` entry over the grid."""
+    grid = parse_grid_spec(args.grid)
+    results = args.scan(parse_source_list(args.sources), grid)
+    _emit(_scan_csv(results, args.param), args.output)
     return 0
 
 
@@ -234,8 +228,8 @@ def cmd_coinc(args) -> int:
     )
     names = [name for name, _ in srcs]
     label = names[0] if len(set(names)) == 1 else "+".join(names)
-    values = ",".join(map(_fmt, (point.p_id, point.p_dist, point.v)))
-    _emit(["label,n,p_id,p_dist,v", f"{_csv_field(label)},{circuit.n},{values}"], args.output)
+    row = (circuit.n, point.p_id, point.p_dist, point.v)
+    _emit(_scan_csv([ScanResult(label, [row])], "n"), args.output)
     return 0
 
 
@@ -250,31 +244,17 @@ def _circuit_from_flags(args) -> circuits.Circuit:
 
 
 def _optimum_report(phi: float) -> dict:
-    report = maximize_classical(phi)
-    fock = best_fock(phi)
     return {
         "phi": phi,
-        "g2_opt": report.argmax,
-        "v_opt": report.value,
-        "iterations": report.iterations,
-        "bracket": list(report.bracket),
-        "fock": dataclasses.asdict(fock),
+        **dataclasses.asdict(maximize_classical(phi)),
+        "fock": dataclasses.asdict(best_fock(phi)),
         "v_laser": visibility_of(coincidence.coincidence_sym_phase, phi, 1, 1).v,
     }
 
 
 def cmd_optimize(args) -> int:
     if args.crossover:
-        report = crossover_window()
-        payload = {
-            "anchor_phi": report.anchor_phi,
-            "g2_fixed": report.g2_fixed,
-            "window": list(report.window) if report.window else None,
-            "rows": [
-                {"phi": phi, "fock_margin": fm, "noise_margin": nm, "n_best": n}
-                for phi, fm, nm, n in report.rows
-            ],
-        }
+        payload = dataclasses.asdict(crossover_window())
     elif args.scan_phi is not None:
         grid = parse_grid_spec(args.scan_phi)
         payload = {"reports": [_optimum_report(float(phi)) for phi in grid]}
@@ -322,27 +302,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_dft_vis)
 
-    p = sub.add_parser("mismatch", help="visibility along the sequential mode-overlap path")
-    p.add_argument(
-        "--sources",
-        default="fock:1,laser,thermal,noise-opt",
-        help="comma-separated source specs",
-    )
-    p.add_argument("--scan-xi", default="0:2:201", help="xi grid start:stop:count")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_mismatch)
-
-    p = sub.add_parser("sym", help="visibility vs phase of the symmetric 3-port")
-    p.add_argument(
-        "--sources",
-        default="fock:1,laser,thermal,noise-opt",
-        help="comma-separated source specs",
-    )
-    p.add_argument(
-        "--scan-phi", default=f"0:{2 * math.pi}:401", help="phi grid start:stop:count"
-    )
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_sym)
+    for name, scan, param, grid, summary in (
+        ("mismatch", scan_overlap, "xi", "0:2:201",
+         "visibility along the sequential mode-overlap path"),
+        ("sym", scan_phase, "phi", f"0:{2 * math.pi}:401",
+         "visibility vs phase of the symmetric 3-port"),
+    ):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument(
+            "--sources",
+            default="fock:1,laser,thermal,noise-opt",
+            help="comma-separated source specs",
+        )
+        p.add_argument(
+            f"--scan-{param}",
+            dest="grid",
+            metavar=f"SCAN_{param.upper()}",
+            default=grid,
+            help=f"{param} grid start:stop:count",
+        )
+        p.add_argument("-o", "--output")
+        p.set_defaults(func=cmd_source_scan, scan=scan, param=param)
 
     p = sub.add_parser("coinc", help="ad-hoc coincidence evaluation on any circuit")
     one = p.add_mutually_exclusive_group(required=True)

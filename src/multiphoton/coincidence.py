@@ -37,11 +37,12 @@ matrices, the table entries differ by at most 5.6e-17 (absolute) on
 dft(N), N = 2..8, and by at most 2.2e-16 over 20 Haar circuits at each
 N = 2..8; ``tests/test_weight_table.py`` asserts <= 1e-15.
 
-Besides the general engines this module carries independent closed forms
-used for cross-checking: the explicit 3-port expansion with per-port
-statistics, the two-port beamsplitter case, the balanced 3-port (DFT)
-case, the phase-controlled symmetric 3-port, and the sequential
-mode-mismatch path.
+Besides the general engines this module carries independent closed forms.
+The two-port beamsplitter case, the balanced 3-port (DFT) case, the
+phase-controlled symmetric 3-port and the sequential mode-mismatch path
+drive every figure scan and optimizer in ``optimize`` and are checked
+against the engines; the explicit 3-port expansion with per-port
+statistics serves only to cross-check the engines.
 """
 
 from __future__ import annotations

@@ -58,8 +58,10 @@ class ScanResult:
 
 @dataclass
 class OptimumReport:
-    argmax: float
-    value: float
+    """The classical-noise optimum: g2_opt maximizes V, at V = v_opt."""
+
+    g2_opt: float
+    v_opt: float
     bracket: tuple[float, float]
     iterations: int
 
@@ -81,7 +83,7 @@ class CrossoverReport:
 
     anchor_phi: float
     g2_fixed: float
-    rows: list[tuple[float, float, float, int]]  # (phi, fock_margin, noise_margin, n*)
+    rows: list[dict]  # keyed phi, fock_margin, noise_margin, n_best
     window: tuple[float, float] | None
 
 
@@ -130,13 +132,13 @@ def maximize_classical(phi: float) -> OptimumReport:
     vals = objective(xs)
     if vals.max() - vals.min() < 1e-14:
         return OptimumReport(
-            argmax=G2_LO, value=float(vals[0]), bracket=(G2_LO, G2_LO), iterations=0
+            g2_opt=G2_LO, v_opt=float(vals[0]), bracket=(G2_LO, G2_LO), iterations=0
         )
     i = int(np.argmax(vals))
     lo = float(xs[max(i - 1, 0)])
     hi = float(xs[min(i + 1, COARSE_POINTS - 1)])
     x, fx, iterations = golden_section_max(objective, lo, hi)
-    return OptimumReport(argmax=x, value=fx, bracket=(lo, hi), iterations=iterations)
+    return OptimumReport(g2_opt=x, v_opt=fx, bracket=(lo, hi), iterations=iterations)
 
 
 def _fock_visibility(phi, ns: np.ndarray) -> np.ndarray:
@@ -245,7 +247,7 @@ def crossover_window() -> CrossoverReport:
     5e-4 pi phase step over [0.46 pi, 0.505 pi].
     """
     anchor_phi = 0.471 * math.pi
-    g2_fixed = maximize_classical(anchor_phi).argmax
+    g2_fixed = maximize_classical(anchor_phi).g2_opt
     ns = np.arange(3, 201, dtype=float)
     phis = np.linspace(0.46 * math.pi, 0.505 * math.pi, 91)
     v_laser = visibility_of(coincidence_sym_phase, phis, 1.0, 1.0).v
@@ -253,7 +255,10 @@ def crossover_window() -> CrossoverReport:
     fock_margin = fock_vs.max(axis=1) - v_laser
     noise_margin = visibility_of(coincidence_sym_phase, phis, g2_fixed, g2_fixed**2).v - v_laser
     n_best = ns[fock_vs.argmax(axis=1)].astype(int)
-    rows = list(zip(*(x.tolist() for x in (phis, fock_margin, noise_margin, n_best))))
+    rows = [
+        {"phi": phi, "fock_margin": fm, "noise_margin": nm, "n_best": n}
+        for phi, fm, nm, n in zip(*(x.tolist() for x in (phis, fock_margin, noise_margin, n_best)))
+    ]
     in_window = phis[(fock_margin > 0) & (noise_margin > 0)].tolist()
     window = (min(in_window), max(in_window)) if in_window else None
     return CrossoverReport(

@@ -48,6 +48,10 @@ def _engines(circuit, ens, field: str = "p_normalized") -> tuple[float, float]:
 
 
 def _checks(rng: np.random.Generator):
+    # One balanced 3-port, and so one weight table, for every check that reads
+    # it; built inside the checks, so a raise fails only the checks that read it.
+    dft3 = functools.cache(lambda: circuits.dft(3))
+
     def permanent_vs_naive():
         worst = 0.0
         for _ in range(20):
@@ -59,9 +63,9 @@ def _checks(rng: np.random.Generator):
 
     def permanent_known():
         ones = linalg.permanent(np.ones((6, 6)))
-        dft3 = abs(linalg.permanent(circuits.dft(3).u)) ** 2
-        ok = abs(ones - 720) < 1e-9 and abs(dft3 - 1 / 3) < 1e-12
-        return ok, f"all-ones 6x6 -> {ones.real:.6f}, |Per(dft3)|^2 -> {dft3:.6f}"
+        per_dft3 = abs(linalg.permanent(dft3().u)) ** 2
+        ok = abs(ones - 720) < 1e-9 and abs(per_dft3 - 1 / 3) < 1e-12
+        return ok, f"all-ones 6x6 -> {ones.real:.6f}, |Per(dft3)|^2 -> {per_dft3:.6f}"
 
     def hom_engine_vs_closed():
         worst = 0.0
@@ -75,13 +79,12 @@ def _checks(rng: np.random.Generator):
 
     def balanced3_anchors():
         oks = []
-        circuit = circuits.dft(3)
         for stats, expect in [
             (sources.fock_stats(1), (1 / 3, 2 / 9)),
             (sources.laser_stats(), (4 / 9, 1.0)),
             (sources.thermal_stats(), (1.0, 20 / 9)),
         ]:
-            p_id, p_dist = _engines(circuit, coincidence.uniform_ensemble(3, stats))
+            p_id, p_dist = _engines(dft3(), coincidence.uniform_ensemble(3, stats))
             oks.append(abs(p_id - expect[0]) < 1e-12 and abs(p_dist - expect[1]) < 1e-12)
         return all(oks), "single-photon/laser/thermal anchor probabilities"
 
@@ -114,21 +117,19 @@ def _checks(rng: np.random.Generator):
     def symmetric_matches_balanced():
         worst = 0.0
         sym = circuits.symmetric(2 * math.pi / 3)
-        bal = circuits.dft(3)
         for _, stats in optimize.standard_sources():
             ens = coincidence.uniform_ensemble(3, stats)
-            for a, b in zip(_engines(sym, ens), _engines(bal, ens)):
+            for a, b in zip(_engines(sym, ens), _engines(dft3(), ens)):
                 worst = max(worst, abs(a - b))
         return worst < 1e-12, f"max gap {worst:.2e}"
 
     def oracle_vs_engines():
         worst = 0.0
-        dft3 = circuits.dft(3)
         cases = [  # every port fed the same Fock mixture of (weight, photon count)
-            (dft3, [(1.0, 1)]),
+            (dft3(), [(1.0, 1)]),
             (circuits.dft(2), [(1.0, 1)]),
             (circuits.beamsplitter(0.3), [(1.0, 2)]),
-            (dft3, [(0.3, 0), (0.49, 1), (0.21, 2)]),
+            (dft3(), [(0.3, 0), (0.49, 1), (0.21, 2)]),
         ]
         for circuit, components in cases:
             n, port_inputs = circuit.n, [components] * circuit.n

@@ -82,8 +82,8 @@ def test_criterion_2_balanced3_anchors():
 def test_criterion_3_classical_optimum():
     start = time.perf_counter()
     result = maximize_classical(2 * math.pi / 3)
-    v_gap = abs(result.value - (19 - math.sqrt(109)) / 14)
-    g2_gap = abs(result.argmax - (1 + math.sqrt(109)) / 6)
+    v_gap = abs(result.v_opt - (19 - math.sqrt(109)) / 14)
+    g2_gap = abs(result.g2_opt - (1 + math.sqrt(109)) / 6)
     elapsed = time.perf_counter() - start
     ok = v_gap <= 1e-6 and g2_gap <= 1e-4 and elapsed < 1.0
     report(
@@ -193,7 +193,7 @@ def test_criterion_6_symmetric_circuit():
 
 def test_criterion_7_crossover_regime():
     result = maximize_classical(math.pi / 2)
-    opt_ok = 0.565 <= result.value <= 0.569 and 1.35 <= result.argmax <= 1.43
+    opt_ok = 0.565 <= result.v_opt <= 0.569 and 1.35 <= result.g2_opt <= 1.43
 
     stats = sources.fock_stats(10**4)
     p_id = coincidence.coincidence_sym_phase(math.pi / 2, stats.g2, stats.g3, True)
@@ -202,8 +202,8 @@ def test_criterion_7_crossover_regime():
     limit_ok = abs(fock_limit - 0.560) <= 2e-3
 
     window = crossover_window()
-    anchor = min(window.rows, key=lambda row: abs(row[0] - 0.471 * math.pi))
-    _, fock_margin, noise_margin, n_best = anchor
+    anchor = min(window.rows, key=lambda row: abs(row["phi"] - 0.471 * math.pi))
+    _, fock_margin, noise_margin, n_best = anchor.values()
     window_ok = (
         window.window is not None
         and 0 < fock_margin < 5e-3
@@ -215,7 +215,7 @@ def test_criterion_7_crossover_regime():
     report(
         "criterion-7 noise/Fock crossover",
         ok,
-        f"V*={result.value:.4f} at g2*={result.argmax:.3f}, fock limit "
+        f"V*={result.v_opt:.4f} at g2*={result.g2_opt:.3f}, fock limit "
         f"{fock_limit:.4f}, margins (fock {fock_margin:.1e}, noise {noise_margin:.1e})",
     )
 

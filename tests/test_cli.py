@@ -86,6 +86,7 @@ def test_parse_source_rejects_malformed(bad):
         ["sym", "--sources", "diluted:1e-200", "--scan-phi", "0:1:3"],
         ["hom", "--source", "fock:1" + "0" * 400],
         ["coinc", "--dft", "3", "--sources", "custom:g2=1,g3=2e12"],
+        ["hom", "--source", "custom:g2=1,g3=abc"],  # a 2-port sum drops g3, but parses it
     ],
 )
 def test_overflowing_source_spec_is_a_usage_error(capsys, argv):
@@ -176,6 +177,27 @@ def test_empty_source_list_is_a_usage_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert "no source spec" in err
+
+
+@pytest.mark.parametrize(
+    "command, own, foreign",
+    [
+        ("dft-vis", ["--scan-g2", "0:6:3"], ["--sources", "laser"]),
+        ("mismatch", ["--sources", "laser", "--scan-xi", "0:2:3"], ["--scan-phi", "0:2:3"]),
+        ("sym", ["--sources", "laser", "--scan-phi", "0:3:3"], ["--scan-xi", "0:2:3"]),
+    ],
+)
+def test_each_scan_command_takes_only_its_own_flags(capsys, command, own, foreign):
+    code, out, _ = run_cli(capsys, command, *own)
+    assert code == 0
+    param = own[-2].removeprefix("--scan-")
+    assert out.splitlines()[0] == f"label,{param},p_id,p_dist,v"
+    if "--sources" in own:
+        assert [row["label"] for row in read_csv(out)] == ["laser"] * 3
+    code, out, err = run_cli_rejected(capsys, command, *foreign)
+    assert code == 2
+    assert out == ""
+    assert f"unrecognized arguments: {' '.join(foreign)}" in err
 
 
 # --- hom -------------------------------------------------------------------------
@@ -666,6 +688,13 @@ def test_run_checks_yields_every_record_in_cli_order():
     assert all(r.ok and r.seconds >= 0 for r in records)
 
 
+def test_verify_builds_one_table_per_circuit():
+    # ten distinct circuits; the balanced 3-port that four checks read is built once
+    coincidence.clear_permanent_cache()
+    list(verify.run_checks(0))
+    assert coincidence._weights.cache_info().misses == 10
+
+
 def test_crashed_check_is_one_failed_record(capsys, monkeypatch):
     def broken(*args):
         raise RuntimeError("oracle down")
@@ -681,6 +710,23 @@ def test_crashed_check_is_one_failed_record(capsys, monkeypatch):
     assert "FAIL oracle-vs-engines: raised RuntimeError: oracle down" in out.splitlines()
     assert out.splitlines()[-1] == "9/10 checks passed (seed=7)"
     assert [line.split(":")[0] for line in err.splitlines()] == VERIFY_NAMES
+
+
+def test_failed_shared_circuit_fails_only_the_checks_that_read_it(monkeypatch):
+    def broken(n):
+        raise RuntimeError(f"no dft({n})")
+
+    monkeypatch.setattr(circuits, "dft", broken)
+    failed = [(r.name, r.detail) for r in verify.run_checks(7) if not r.ok]
+    assert failed == [
+        (name, "raised RuntimeError: no dft(3)")
+        for name in (
+            "permanent-known-values",
+            "balanced3-anchors",
+            "symmetric-vs-balanced3",
+            "oracle-vs-engines",
+        )
+    ]
 
 
 def test_verify_detects_injected_sign_flip(capsys, monkeypatch):

@@ -33,22 +33,22 @@ def test_golden_section_quadratic():
 
 def test_maximize_classical_balanced_point():
     report = maximize_classical(2 * math.pi / 3)
-    assert report.value == pytest.approx((19 - math.sqrt(109)) / 14, abs=1e-6)
-    assert report.argmax == pytest.approx((1 + math.sqrt(109)) / 6, abs=1e-4)
-    assert report.bracket[0] <= report.argmax <= report.bracket[1]
+    assert report.v_opt == pytest.approx((19 - math.sqrt(109)) / 14, abs=1e-6)
+    assert report.g2_opt == pytest.approx((1 + math.sqrt(109)) / 6, abs=1e-4)
+    assert report.bracket[0] <= report.g2_opt <= report.bracket[1]
     assert report.iterations > 0
 
 
 def test_maximize_classical_quarter_turn():
     report = maximize_classical(math.pi / 2)
-    assert 0.565 <= report.value <= 0.569
-    assert 1.35 <= report.argmax <= 1.43
+    assert 0.565 <= report.v_opt <= 0.569
+    assert 1.35 <= report.g2_opt <= 1.43
 
 
 def test_maximize_classical_flat_identity_reports_boundary():
     report = maximize_classical(0.0)
-    assert report.value == pytest.approx(0.0, abs=1e-14)
-    assert report.argmax == 1.0
+    assert report.v_opt == pytest.approx(0.0, abs=1e-14)
+    assert report.g2_opt == 1.0
     assert report.iterations == 0
 
 
@@ -56,8 +56,8 @@ def test_maximize_classical_refinement_stable(monkeypatch):
     coarse = maximize_classical(1.1)
     monkeypatch.setattr(optimize, "COARSE_POINTS", 128)
     fine = maximize_classical(1.1)
-    assert fine.value == pytest.approx(coarse.value, abs=1e-9)
-    assert fine.argmax == pytest.approx(coarse.argmax, abs=1e-5)
+    assert fine.v_opt == pytest.approx(coarse.v_opt, abs=1e-9)
+    assert fine.g2_opt == pytest.approx(coarse.g2_opt, abs=1e-5)
 
 
 def test_best_fock_at_pi():
@@ -207,8 +207,8 @@ def test_crossover_window_exists():
 
 def test_crossover_margins_small_and_positive():
     report = crossover_window()
-    at_anchor = min(report.rows, key=lambda row: abs(row[0] - report.anchor_phi))
-    _, fock_margin, noise_margin, n_best = at_anchor
+    at_anchor = min(report.rows, key=lambda row: abs(row["phi"] - report.anchor_phi))
+    _, fock_margin, noise_margin, n_best = at_anchor.values()
     assert 0 < fock_margin < 5e-3
     assert 0 < noise_margin < 5e-3
     assert n_best >= 3
