@@ -9,6 +9,7 @@ shared and used as cache keys safely.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,10 @@ def dft(n: int) -> Circuit:
     u_jk = exp(2*pi*i*(j-1)(k-1)/N) / sqrt(N): every splitting ratio is
     1/N, the fully balanced N-port.
     """
+    if type(n) is not int:  # the common case skips the slow ABC check
+        if not isinstance(n, numbers.Integral):
+            raise ValueError(f"DFT port count must be an integer, got {n!r}")
+        n = int(n)
     if n < 2:
         raise ValueError(f"DFT needs at least 2 ports, got {n}")
     idx = np.arange(n)
@@ -58,9 +63,12 @@ def symmetric(phi: float) -> Circuit:
     Diagonal alpha = (2 + e^{i phi})/3 and off-diagonal
     beta = (-1 + e^{i phi})/3.  phi = 0 is the identity; phi = 2*pi/3 and
     4*pi/3 are balanced (|alpha| = |beta| = 1/sqrt(3)).  phi is wrapped to
-    [0, 2*pi) before the matrix is built.
+    [0, 2*pi) before the matrix is built, so it must be finite.
     """
-    phi = float(phi) % (2 * math.pi)
+    phi = float(phi)
+    if not math.isfinite(phi):
+        raise ValueError("phi must be finite")
+    phi %= 2 * math.pi
     e = complex(math.cos(phi), math.sin(phi))
     alpha = (2 + e) / 3
     beta = (-1 + e) / 3

@@ -53,6 +53,17 @@ def finite_float(text: str) -> float:
     return value
 
 
+def non_negative_int(text: str) -> int:
+    """argparse type for --seed: rejects a negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def parse_grid_spec(text: str) -> np.ndarray:
     """Parse 'start:stop:count' into an inclusive linear grid."""
     parts = text.split(":")
@@ -357,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("verify", help="run the internal consistency checks")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.set_defaults(func=cmd_verify)
 
     return parser

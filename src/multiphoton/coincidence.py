@@ -54,7 +54,6 @@ from typing import Sequence
 
 import numpy as np
 
-from multiphoton import linalg
 from multiphoton.circuits import Circuit
 from multiphoton.sources import G_CAP, SourceStats
 
@@ -283,7 +282,7 @@ def coincidence_n3_explicit(
         def weight(amplitude):
             return abs(amplitude) ** 2
     else:
-        w = linalg.mod_squared(circuit.u)
+        w = np.abs(circuit.u) ** 2
 
         def weight(value):
             return float(value)
@@ -350,10 +349,12 @@ def _check_autocorrelations(**named) -> None:
 def coincidence_hom(r: float, g2, indistinguishable: bool = True):
     """Normalized two-fold coincidence on a beamsplitter of reflectance R:
     1 - 2RT(2 - g2) for indistinguishable inputs, 1 - 2RT(1 - g2) for
-    distinguishable ones.  g2 must lie in [0, G_CAP], the cap on source
-    autocorrelations."""
-    if not 0 <= r <= 1:
-        raise ValueError(f"reflectance must be in [0, 1], got {r}")
+    distinguishable ones.  R must lie in [0, 1] and g2 in [0, G_CAP], the
+    cap on source autocorrelations."""
+    if not (type(r) is float and 0 <= r <= 1):  # the quick path skips numpy
+        rs = np.asarray(r)
+        if (outside := rs[~((rs >= 0) & (rs <= 1))]).size:  # NaN is outside
+            raise ValueError(f"reflectance must be in [0, 1], got {outside[0]}")
     _check_autocorrelations(g2=g2)
     rt2 = 2 * r * (1 - r)
     return 1 - rt2 * (2 - g2) if indistinguishable else 1 - rt2 * (1 - g2)

@@ -1,4 +1,4 @@
-"""Complex matrix utilities: permanents, squared moduli, unitarity checks.
+"""Complex matrix utilities: permanents and unitarity checks.
 
 The permanent is evaluated by Glynn's formula in plain numpy, one kernel
 on every install.  The coincidence engines do not call it: their weight
@@ -9,24 +9,14 @@ and direct use.
 from __future__ import annotations
 
 import itertools
-from typing import NamedTuple
 
 import numpy as np
-
-# There is no compiled permanent kernel; kept so that code reporting the
-# active kernel keeps working.
-HAVE_COMPILED_KERNEL = False
 
 PERMANENT_MAX_DIM = 24
 NAIVE_MAX_DIM = 9
 UNITARY_TOL = 1e-12
 # Columns whose 2^k signed row sums form the permanent kernel's inner array.
 _INNER_COLUMNS = 10
-
-
-class UnitarityCheck(NamedTuple):
-    ok: bool
-    max_deviation: float
 
 
 def as_complex_matrix(entries) -> np.ndarray:
@@ -40,9 +30,9 @@ def as_complex_matrix(entries) -> np.ndarray:
     return m
 
 
-def _require_square(m: np.ndarray, what: str = "matrix") -> None:
+def _require_square(m: np.ndarray) -> None:
     if m.shape[0] != m.shape[1]:
-        raise ValueError(f"{what} must be square, got {m.shape[0]}x{m.shape[1]}")
+        raise ValueError(f"matrix must be square, got {m.shape[0]}x{m.shape[1]}")
 
 
 def _signed_column_sums(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -126,16 +116,9 @@ def permanent_naive(matrix) -> complex:
     return total
 
 
-def mod_squared(matrix) -> np.ndarray:
-    """Entrywise squared modulus |m_ij|^2 (doubly stochastic for unitary
-    input)."""
-    m = as_complex_matrix(matrix)
-    return np.abs(m) ** 2
-
-
-def check_unitary(matrix, tol: float = UNITARY_TOL) -> UnitarityCheck:
-    """Test max |U†U - I| <= tol; the deviation is reported either way."""
+def check_unitary(matrix, tol: float = UNITARY_TOL) -> tuple[bool, float]:
+    """(max |U†U - I| <= tol, max |U†U - I|): the deviation either way."""
     m = as_complex_matrix(matrix)
     _require_square(m)
     dev = np.abs(m.conj().T @ m - np.eye(m.shape[0])).max()
-    return UnitarityCheck(bool(dev <= tol), float(dev))
+    return bool(dev <= tol), float(dev)

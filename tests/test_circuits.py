@@ -95,6 +95,22 @@ def test_beamsplitter_rejects_bad_reflectance():
         circuits.beamsplitter(1.1)
 
 
+@pytest.mark.parametrize("n", [2.5, 3.0, "3"])
+def test_dft_refuses_a_non_integral_port_count(n):
+    with pytest.raises(ValueError, match=f"^DFT port count must be an integer, got {n!r}$"):
+        circuits.dft(n)
+
+
+def test_dft_accepts_a_numpy_integer():
+    np.testing.assert_array_equal(circuits.dft(np.int64(3)).u, circuits.dft(3).u)
+
+
+@pytest.mark.parametrize("phi", [math.inf, -math.inf, math.nan])
+def test_symmetric_refuses_a_non_finite_phase(phi):
+    with pytest.raises(ValueError, match="^phi must be finite$"):
+        circuits.symmetric(phi)
+
+
 def test_custom_accepts_numeric_dft():
     u = circuits.dft(3).u.copy()
     c = circuits.custom(u)

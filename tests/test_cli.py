@@ -367,6 +367,14 @@ def test_non_finite_float_flag_is_a_usage_error(capsys, argv):
     assert "must be finite" in err
 
 
+def test_negative_seed_is_a_usage_error(capsys):
+    code, out, err = run_cli_rejected(capsys, "verify", "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage: ")
+    assert err.endswith("error: argument --seed: must be >= 0, got -1\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -746,6 +754,34 @@ def test_verify_detects_injected_sign_flip(capsys, monkeypatch):
         "permanent-ryser-vs-naive",
     ]
     assert [word for word, _ in rows].count("ok") == 8
+
+
+def test_verify_detects_a_corrupted_weight_table(capsys, monkeypatch):
+    """Flip the sign of U's last first-row entry inside the table build:
+    w_dist (from |U|^2) is unchanged and w_id is wrong."""
+    build = coincidence._weights.__wrapped__
+
+    def corrupted(circuit):
+        u = circuit.u.copy()
+        u[0, -1] = -u[0, -1]
+        return build(circuits.Circuit(u=u))
+
+    coincidence.clear_permanent_cache()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(coincidence, "_weights", corrupted)
+            code, out, _ = run_cli(capsys, "verify", "--seed", "7")
+    finally:
+        coincidence.clear_permanent_cache()
+    assert code == 1
+    rows = [line.split(":")[0].split() for line in out.splitlines()[:-1]]
+    assert sorted(name for word, name in rows if word == "FAIL") == [
+        "balanced3-anchors",
+        "explicit3-vs-general",
+        "hom-engine-vs-closed-form",
+        "oracle-vs-engines",
+    ]
+    assert out.splitlines()[-1] == "6/10 checks passed (seed=7)"
 
 
 def test_importing_the_cli_loads_the_oracle():

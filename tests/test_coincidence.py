@@ -169,6 +169,20 @@ def test_hom_names_the_most_negative_g2():
         coincidence_hom(0.5, np.array([1.0, -0.5, math.nan, -0.25, 2.0]))
 
 
+@pytest.mark.parametrize(
+    "r, shown",
+    [
+        (1.5, "1.5"),
+        (math.nan, "nan"),
+        (np.array([0.2, 1.0, -0.25, 0.5]), "-0.25"),
+        (np.array([0.2, math.nan]), "nan"),
+    ],
+)
+def test_hom_names_a_reflectance_outside_the_unit_interval(r, shown):
+    with pytest.raises(ValueError, match=rf"^reflectance must be in \[0, 1\], got {shown}$"):
+        coincidence_hom(r, 1.0)
+
+
 # --- explicit 3-port expansion ---------------------------------------------------
 
 @given(
@@ -378,6 +392,7 @@ def elementwise(closed_form, *args):
 BROADCAST_CASES = {
     "hom-id": (partial(coincidence_hom, 0.3, indistinguishable=True), (G2S,), False),
     "hom-dist": (partial(coincidence_hom, 0.3, indistinguishable=False), (G2S,), False),
+    "hom-r": (partial(coincidence_hom, g2=1.5), (np.linspace(0.0, 1.0, 7)[:, None],), False),
     "dft3-id": (partial(coincidence_dft3, indistinguishable=True), (G2S, G3S), False),
     "dft3-dist": (partial(coincidence_dft3, indistinguishable=False), (G2S, G3S), False),
     "mismatch-xi": (coincidence_mismatch_n3, (G2S, G3S, XIS), False),

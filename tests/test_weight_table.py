@@ -50,7 +50,7 @@ def permanent_table(u):
     patterns are set to 0.  The matchings are counted exactly, as the
     permanent of the 0/1 support."""
     n = u.shape[0]
-    v = linalg.mod_squared(u)
+    v = np.abs(u) ** 2
     support = (v != 0).astype(float)
     w_id, w_dist = [], []
     for s in enumerate_exponent_tuples(n):
@@ -265,7 +265,7 @@ def test_heterogeneous_thermal_and_laser_references(n, seed):
     thermal = InputEnsemble(tuple(sources.thermal_stats(n, mean_n=m) for m in means))
     laser = InputEnsemble(tuple(sources.laser_stats(n, mean_n=m) for m in means))
     want_thermal = linalg.permanent(u @ np.diag(means) @ u.conj().T).real
-    want_laser = np.prod(linalg.mod_squared(u) @ means)
+    want_laser = np.prod(np.abs(u) ** 2 @ means)
     assert coincidence_id_general(circuit, thermal).p_raw == pytest.approx(want_thermal, rel=1e-12)
     assert coincidence_dist_general(circuit, laser).p_raw == pytest.approx(want_laser, rel=1e-12)
 
