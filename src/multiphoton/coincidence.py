@@ -26,11 +26,10 @@ arrays w_id = |c_U(s)|^2 and w_dist = Re c_V(s), in the order of
 ``enumerate_exponent_tuples(N)``; a pattern sum is then one gather of a
 per-port table T[i, m] = n_i^m g_i^(m), a product over ports and a dot
 product with the weights.  The products do not depend on the weights, so
-the id and dist sums of one ensemble share one product vector.  The latest
-ensemble's stats tuple, products and short-order test are kept as one
-record, the pattern sum's only memo: a second sum handed the same tuple
-object, or an equal one, costs one dot product, with no hash and no scan of
-the orders.
+the id and dist sums of one ensemble share one product vector.  Both caches
+follow one rule: a weight table is reused for the same ``Circuit`` object,
+the products for the same stats tuple object, and no lookup hashes or
+compares a ``SourceStats``.
 
 Against the same expansion run exactly in Python ints on the same float
 matrices, the table entries differ by at most 5.6e-17 (absolute) on
@@ -166,12 +165,11 @@ def clear_permanent_cache() -> None:
 
 # Callers sum one ensemble with w_id and then with w_dist, so the pattern
 # sum's only memo, _latest, holds the last summed ensemble's (stats tuple,
-# products, whether some port stops below order N).  A sum handed the same
-# tuple object or an equal one reuses it: SourceStats compare by value, so
-# equal tuples have equal products, and nothing is hashed.  The key is
-# tuple(stats), never the container handed in, so a list changed between two
-# sums is a new key.  The record is one tuple, read once and replaced whole,
-# so a concurrent sum never pairs one ensemble's key with another's products.
+# products, whether some port stops below order N), reused by a sum handed
+# that same tuple object.  The key is tuple(stats), never the container
+# handed in, so an ensemble built on a list gets fresh products on every
+# sum.  The record is one tuple, read once and replaced whole, so a
+# concurrent sum never pairs one ensemble's key with another's products.
 
 _NO_ENSEMBLE = (None, None, False)
 _latest = _NO_ENSEMBLE
@@ -210,7 +208,7 @@ def _pattern_sum(stats: Sequence[SourceStats], weights: np.ndarray) -> float:
     key = tuple(stats)
     n = len(key)
     latest = _latest
-    if not (latest[0] is key or latest[0] == key):
+    if latest[0] is not key:
         short = min([len(stat.g) for stat in key]) <= n  # some max_order < n
         latest = _latest = (key, _port_products(key), short)
     _, products, short = latest

@@ -31,6 +31,8 @@ class SourceStats:
     g: tuple[float, ...]
 
     def __post_init__(self):
+        if type(self.g) is not tuple:  # a list or an array sums as its tuple
+            object.__setattr__(self, "g", tuple(self.g))
         if not (math.isfinite(self.mean_n) and self.mean_n >= 0):
             raise ValueError(f"mean photon number must be >= 0, got {self.mean_n}")
         if len(self.g) < 2:

@@ -367,12 +367,17 @@ def test_non_finite_float_flag_is_a_usage_error(capsys, argv):
     assert "must be finite" in err
 
 
-def test_negative_seed_is_a_usage_error(capsys):
-    code, out, err = run_cli_rejected(capsys, "verify", "--seed", "-1")
+@pytest.mark.parametrize(
+    "seed, message",
+    [("-1", "must be >= 0, got -1"), ("abc", "invalid int value: 'abc'")],
+    ids=["negative", "non-integer"],
+)
+def test_invalid_seed_is_a_usage_error(capsys, seed, message):
+    code, out, err = run_cli_rejected(capsys, "verify", "--seed", seed)
     assert code == 2
     assert out == ""
     assert err.startswith("usage: ")
-    assert err.endswith("error: argument --seed: must be >= 0, got -1\n")
+    assert err.endswith(f"error: argument --seed: {message}\n")
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import re
@@ -499,10 +500,9 @@ def _random_stats(rng, n):
     ]
 
 
-def test_cleared_memo_builds_the_products_again(monkeypatch):
-    """A sum handed the ensemble it just summed, or an equal but distinct
-    tuple, builds no products; clear_permanent_cache makes the next sum
-    build them once."""
+def _count_product_builds(monkeypatch):
+    """Route _port_products through a recorder; returns the list of the
+    stats tuples it builds products for."""
     builds = []
     build = coincidence._port_products
 
@@ -511,6 +511,14 @@ def test_cleared_memo_builds_the_products_again(monkeypatch):
         return build(key)
 
     monkeypatch.setattr(coincidence, "_port_products", counted)
+    return builds
+
+
+def test_cleared_memo_builds_the_products_again(monkeypatch):
+    """A sum handed the stats tuple it just summed builds no products; an
+    equal but distinct tuple builds its own, since the record matches by
+    identity only; clear_permanent_cache makes the next sum build them once."""
+    builds = _count_product_builds(monkeypatch)
     rng = np.random.default_rng(18)
     circuit = _haar_circuit(rng, 4)
     ens = InputEnsemble(stats=tuple(_random_stats(rng, 4)))
@@ -521,28 +529,52 @@ def test_cleared_memo_builds_the_products_again(monkeypatch):
     twin = InputEnsemble(stats=tuple(list(ens.stats)))
     assert twin.stats is not ens.stats
     coincidence_id_general(circuit, twin)
-    assert len(builds) == 1
+    assert len(builds) == 2
     coincidence.clear_permanent_cache()
     coincidence_dist_general(circuit, ens)
     coincidence_id_general(circuit, ens)
-    assert len(builds) == 2
+    assert len(builds) == 3
+
+
+def test_one_ensemble_shares_its_products_across_circuits(monkeypatch):
+    """An ensemble summed on two different 4-port circuits builds its
+    products once, and every sum gives the bits of a cold sum."""
+    rng = np.random.default_rng(21)
+    pair = [_haar_circuit(rng, 4), _haar_circuit(rng, 4)]
+    ens = InputEnsemble(stats=tuple(_random_stats(rng, 4)))
+    engines = (coincidence_id_general, coincidence_dist_general)
+    cold = []
+    for circuit in pair:
+        for engine in engines:
+            coincidence.clear_permanent_cache()
+            cold.append(engine(circuit, ens).p_raw.hex())
+    builds = _count_product_builds(monkeypatch)
+    coincidence.clear_permanent_cache()
+    warm = [engine(circuit, ens).p_raw.hex() for circuit in pair for engine in engines]
+    assert builds == [ens.stats]
+    assert warm == cold
 
 
 def test_pattern_sum_never_hashes_source_stats(monkeypatch):
-    """The record matches an ensemble by identity and then by value, so no
-    sum hashes a SourceStats, whether the ensemble holds a tuple or a list."""
+    """The record matches an ensemble by identity only, so no sum hashes or
+    compares a SourceStats, whether the ensemble holds a tuple or a list.
+    The last ensemble holds equal copies and finds the list's stats in the
+    record, so a match by value would call SourceStats.__eq__."""
     rng = np.random.default_rng(20)
     circuit = _haar_circuit(rng, 5)
     stats = _random_stats(rng, 5)
+    copies = [dataclasses.replace(stat) for stat in stats]
     expected = [engine(circuit, InputEnsemble(stats=tuple(stats))).p_raw
                 for engine in (coincidence_id_general, coincidence_dist_general)]
 
-    def refuse(self):
-        raise AssertionError("SourceStats hashed")
+    def refuse(self, *other):
+        raise AssertionError("SourceStats hashed or compared")
 
     monkeypatch.setattr(sources.SourceStats, "__hash__", refuse)
-    for ens in (InputEnsemble(stats=tuple(stats)), InputEnsemble(stats=list(stats))):
-        coincidence.clear_permanent_cache()
+    monkeypatch.setattr(sources.SourceStats, "__eq__", refuse)
+    coincidence.clear_permanent_cache()
+    for held in (tuple(stats), list(stats), tuple(copies)):
+        ens = InputEnsemble(stats=held)
         got = [engine(circuit, ens).p_raw
                for engine in (coincidence_id_general, coincidence_dist_general)]
         assert got == expected

@@ -182,7 +182,7 @@ def test_naive_2x2():
     assert linalg.permanent_naive([[a, b], [c, d]]) == pytest.approx(a * d + b * c)
 
 
-def test_naive_matches_ryser_random_5x5():
+def test_naive_matches_glynn_random_5x5():
     rng = np.random.default_rng(42)
     m = rng.uniform(-1, 1, (5, 5)) + 1j * rng.uniform(-1, 1, (5, 5))
     a = linalg.permanent(m)
@@ -197,7 +197,7 @@ def test_naive_rejects_oversized():
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 8))
 @settings(max_examples=60)
-def test_ryser_equals_naive(seed, n):
+def test_glynn_equals_naive(seed, n):
     rng = np.random.default_rng(seed)
     m = random_complex(rng, n)
     a = linalg.permanent(m)
@@ -217,12 +217,12 @@ def test_permanent_invariant_under_row_column_permutations(seed, n):
 
 # --- repeated columns -------------------------------------------------------------
 
-def test_column_select_repeated_basis_column_kills_permanent():
+def test_repeated_basis_column_kills_permanent():
     selected = np.eye(3)[:, [0, 0, 2]]
     assert linalg.permanent(selected) == 0
 
 
-def test_column_select_dft3_doubled_column():
+def test_dft3_doubled_column_permanent_vanishes():
     u = circuits.dft(3).u
     d = np.repeat(np.arange(3), (2, 0, 1))  # columns 1, 1, 3
     value = abs(linalg.permanent_naive(u[:, d]) / math.factorial(2)) ** 2

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multiphoton import sources
+from multiphoton import circuits, coincidence, sources
 
 
 def test_fock_single_photon():
@@ -191,3 +191,20 @@ def test_source_stats_validates_convention():
 def test_source_stats_rejects_g_outside_the_cap(value):
     with pytest.raises(ValueError, match=r"g\(2\) = .* outside \[0, 1e\+12\]"):
         sources.SourceStats(1.0, (1.0, 1.0, value))
+
+
+@pytest.mark.parametrize("container", [list, np.array], ids=["list", "array"])
+def test_source_stats_keeps_its_gs_in_a_tuple(container):
+    """A g sequence handed in as a list or an array is stored as a tuple,
+    so the record equals the tuple-built one and the general engines give
+    the tuple form's bits."""
+    g = (1.0, 1.0, 2.0, 6.0)
+    stats = sources.SourceStats(1.5, container(g))
+    reference = sources.SourceStats(1.5, g)
+    assert type(stats.g) is tuple
+    assert stats == reference
+    circuit = circuits.dft(3)
+    for engine in (coincidence.coincidence_id_general, coincidence.coincidence_dist_general):
+        got, want = (engine(circuit, coincidence.uniform_ensemble(3, s)) for s in (stats, reference))
+        assert got.p_raw.hex() == want.p_raw.hex()
+        assert got.p_normalized.hex() == want.p_normalized.hex()
