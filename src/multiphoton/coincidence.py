@@ -330,18 +330,18 @@ def coincidence_n3_explicit(
 # Each closed form broadcasts over numpy arrays of its parameters and gives
 # a float for floats.  Only an array phi goes through numpy's cos and
 # complex powers; any other call makes the same IEEE operations per element.
-# Each rejects a g outside [0, G_CAP], NaN included, as SourceStats does.
+# Each checks its g, R and xi with _check_interval, and so rejects a g
+# outside [0, G_CAP] as SourceStats does.
 
-def _check_autocorrelations(**named) -> None:
-    """Reject a named g, float or array, with any entry outside [0, G_CAP];
-    NaN counts as outside.  A float in range takes the quick path."""
-    for name, g in named.items():
-        if type(g) is float and 0 <= g <= G_CAP:
-            continue
-        if np.any(np.less(g, 0)):
-            raise ValueError(f"{name} must be >= 0, got {np.nanmin(g)}")
-        if not np.all(np.less_equal(g, G_CAP)):  # also false for NaN
-            raise ValueError(f"{name} must stay within [0, {G_CAP:g}]")
+def _check_interval(name: str, x, hi: float) -> None:
+    """Reject x, float or array, with any entry outside [0, hi]; NaN and
+    complex entries count as outside.  A float in range skips numpy."""
+    if type(x) is float and 0 <= x <= hi:
+        return
+    xs = np.asarray(x)
+    outside = xs if xs.dtype.kind == "c" else xs[~((xs >= 0) & (xs <= hi))]
+    if outside.size:
+        raise ValueError(f"{name} must be in [0, {hi:g}], got {outside.flat[0]}")
 
 
 def coincidence_hom(r: float, g2, indistinguishable: bool = True):
@@ -349,11 +349,8 @@ def coincidence_hom(r: float, g2, indistinguishable: bool = True):
     1 - 2RT(2 - g2) for indistinguishable inputs, 1 - 2RT(1 - g2) for
     distinguishable ones.  R must lie in [0, 1] and g2 in [0, G_CAP], the
     cap on source autocorrelations."""
-    if not (type(r) is float and 0 <= r <= 1):  # the quick path skips numpy
-        rs = np.asarray(r)
-        if (outside := rs[~((rs >= 0) & (rs <= 1))]).size:  # NaN is outside
-            raise ValueError(f"reflectance must be in [0, 1], got {outside[0]}")
-    _check_autocorrelations(g2=g2)
+    _check_interval("reflectance", r, 1)
+    _check_interval("g2", g2, G_CAP)
     rt2 = 2 * r * (1 - r)
     return 1 - rt2 * (2 - g2) if indistinguishable else 1 - rt2 * (1 - g2)
 
@@ -363,7 +360,8 @@ def coincidence_dft3(g2, g3, indistinguishable: bool = True):
     symmetric inputs: g3/9 + 1/3, or g3/9 + 2*g2/3 + 2/9 when the inputs
     are distinguishable (the g2 interference terms vanish only in the
     indistinguishable case, so that result does not take g2's shape)."""
-    _check_autocorrelations(g2=g2, g3=g3)
+    _check_interval("g2", g2, G_CAP)
+    _check_interval("g3", g3, G_CAP)
     if indistinguishable:
         return g3 / 9 + 1 / 3
     return g3 / 9 + 2 * g2 / 3 + 2 / 9
@@ -382,10 +380,10 @@ def coincidence_mismatch_n3(g2, g3, xi):
     reduce to the fully distinguishable / fully indistinguishable values
     at xi = 0 and xi = 2.
     """
-    _check_autocorrelations(g2=g2, g3=g3)
+    _check_interval("g2", g2, G_CAP)
+    _check_interval("g3", g3, G_CAP)
+    _check_interval("xi", xi, 2)
     xi = np.asarray(xi, dtype=float)
-    if not np.all((0 <= xi) & (xi <= 2)):
-        raise ValueError("xi must stay within [0, 2]")
     first_leg = xi <= 1
     m = np.where(first_leg, xi, xi - 1)  # M23 on the first leg, M12 = M31 on the second
     p = np.where(
@@ -409,7 +407,8 @@ def coincidence_sym_phase(phi, g2, g3, indistinguishable: bool = True):
     Must agree with the general engines applied to the same circuit.  phi
     must be finite, as circuits.symmetric requires.
     """
-    _check_autocorrelations(g2=g2, g3=g3)
+    _check_interval("g2", g2, G_CAP)
+    _check_interval("g3", g3, G_CAP)
     scalar = isinstance(phi, (float, int))  # the quick path skips numpy
     if not (math.isfinite(phi) if scalar else np.all(np.isfinite(phi))):
         raise ValueError("phi must be finite")

@@ -200,8 +200,8 @@ def scan_g2_dft(grid) -> list[ScanResult]:
     and one single-row result per marked source.
     """
     grid = np.asarray(grid, dtype=float)
-    if not np.all((grid >= 0) & (grid <= math.sqrt(G_CAP))):  # NaN is outside
-        raise ValueError(f"g2 grid must stay within [0, {math.sqrt(G_CAP):g}]")
+    if (outside := grid[~((grid >= 0) & (grid <= math.sqrt(G_CAP)))]).size:  # NaN is outside
+        raise ValueError(f"g2 grid must be in [0, {math.sqrt(G_CAP):g}], got {outside[0]}")
     gaussian_g3 = (2 - 3 * np.sqrt(grid)) ** 2
     results = [
         _curve("classical-bound", grid, visibility_of(coincidence_dft3, grid, grid * grid)),

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from multiphoton.coincidence import coincidence_dft3, coincidence_hom
-from multiphoton.sources import fock_stats, vac12_mixture_stats
+from multiphoton.sources import G_CAP, fock_stats, vac12_mixture_stats
 
 EPS_DENOMINATOR = 1e-12
 
@@ -35,17 +35,24 @@ class VisibilityPoint:
 
 def visibility(p_id, p_dist) -> VisibilityPoint:
     """V = 1 - p_id / p_dist: floats for floats, else arrays of the
-    broadcast shape.  Raises when a denominator is NaN or <= EPS_DENOMINATOR
-    (every valid configuration here has p_dist of order 1)."""
+    broadcast shape.  Raises when a denominator is NaN, infinite or
+    <= EPS_DENOMINATOR (every valid configuration here has p_dist of order
+    1), or when a numerator is NaN or infinite."""
     if isinstance(p_id, (float, int)) and isinstance(p_dist, (float, int)):
-        worst = p_dist
+        worst_id, worst = p_id, p_dist
     else:
         p_id, p_dist = np.broadcast_arrays(np.asarray(p_id, float), np.asarray(p_dist, float))
-        worst = float(p_dist.min())  # NaN if any entry is NaN
-    if not worst > EPS_DENOMINATOR:
+        # Each check reads the smallest entry if it fails (NaN does), else the largest.
+        low = float(p_id.min())
+        worst_id = low if not math.isfinite(low) else float(p_id.max())
+        low = float(p_dist.min())
+        worst = low if not low > EPS_DENOMINATOR else float(p_dist.max())
+    if not EPS_DENOMINATOR < worst < math.inf:
         raise ValueError(
             f"degenerate distinguishable probability {worst!r}; cannot form a visibility"
         )
+    if not math.isfinite(worst_id):
+        raise ValueError(f"p_id must be finite, got {worst_id!r}; cannot form a visibility")
     return VisibilityPoint(v=1 - p_id / p_dist, p_id=p_id, p_dist=p_dist)
 
 
@@ -87,7 +94,7 @@ def v3_gaussian_bound(g2: float) -> float:
     visibility outside this curve witnesses non-Gaussianity.
     """
     if g2 < 0:
-        raise ValueError(f"g2 must be >= 0, got {g2}")
+        raise ValueError(f"g2 must be in [0, {G_CAP:g}], got {g2}")
     return v3_dft(g2, (2 - 3 * math.sqrt(g2)) ** 2)
 
 

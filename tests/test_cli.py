@@ -153,15 +153,19 @@ def test_mismatch_grid_outside_the_path_is_a_usage_error(capsys):
     code, out, err = run_cli(capsys, "mismatch", "--scan-xi", "0:2.5:11")
     assert code == 2
     assert out == ""
-    assert "within [0, 2]" in err
+    assert err == "error: xi must be in [0, 2], got 2.25\n"
 
 
-@pytest.mark.parametrize("spec", ["-1:6:10", "0:2e6:10"])
-def test_dft_vis_grid_outside_the_g2_domain_is_a_usage_error(capsys, spec):
+@pytest.mark.parametrize(
+    "spec, shown",
+    [("-1:6:10", "-1.0"), ("0:2e6:10", "1111111.111111111")],
+    ids=["-1:6:10", "0:2e6:10"],
+)
+def test_dft_vis_grid_outside_the_g2_domain_is_a_usage_error(capsys, spec, shown):
     code, out, err = run_cli(capsys, "dft-vis", f"--scan-g2={spec}")
     assert code == 2
     assert out == ""
-    assert "within [0, 1e+06]" in err
+    assert err == f"error: g2 grid must be in [0, 1e+06], got {shown}\n"
 
 
 @pytest.mark.parametrize(
@@ -270,14 +274,14 @@ def test_hom_rejects_bad_reflectance(capsys):
     code, out, err = run_cli(capsys, "hom", "--R", "1.5", "--g2", "1")
     assert code == 2
     assert out == ""
-    assert "reflectance must be in [0, 1]" in err
+    assert err == "error: reflectance must be in [0, 1], got 1.5\n"
 
 
 def test_hom_rejects_reflectance_that_is_not_a_number(capsys):
     code, out, err = run_cli_rejected(capsys, "hom", "--R", "abc", "--g2", "1")
     assert code == 2
     assert out == ""
-    assert "not a number: 'abc'" in err
+    assert err.endswith("error: argument --R: invalid float value: 'abc'\n")
 
 
 def test_hom_rejects_negative_g2(capsys):
@@ -351,20 +355,25 @@ def test_oversized_grid_is_a_usage_error(capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["hom", "--g2", "inf"],
-        ["hom", "--R", "nan", "--g2", "1"],
-        ["optimize", "--phi", "nan"],
-        ["coinc", "--beamsplitter", "inf", "--sources", "laser"],
-        ["coinc", "--symmetric=-inf", "--sources", "laser"],
+        (["hom", "--g2", "inf"], "g2 must be in [0, 1e+12], got inf"),
+        (["hom", "--R", "nan", "--g2", "1"], "reflectance must be in [0, 1], got nan"),
+        (["optimize", "--phi", "nan"], "phi must be finite"),
+        (
+            ["coinc", "--beamsplitter", "inf", "--sources", "laser"],
+            "reflectance must be in [0, 1], got inf",
+        ),
+        (["coinc", "--symmetric=-inf", "--sources", "laser"], "phi must be finite"),
     ],
+    ids=[f"argv{i}" for i in range(5)],
 )
-def test_non_finite_float_flag_is_a_usage_error(capsys, argv):
-    code, out, err = run_cli_rejected(capsys, *argv)
+def test_non_finite_float_flag_is_a_usage_error(capsys, argv, message):
+    """The library refuses each value; the CLI reads the flags as plain floats."""
+    code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert "must be finite" in err
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

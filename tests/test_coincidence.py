@@ -161,12 +161,13 @@ def test_hom_perfect_suppression():
     "g2", [1e13, math.nan, np.array([1.0, 1e13]), np.array([0.5, math.nan])]
 )
 def test_hom_rejects_g2_above_the_source_cap_or_nan(g2):
-    with pytest.raises(ValueError, match=re.escape("g2 must stay within [0, 1e+12]")):
+    with pytest.raises(ValueError) as info:
         coincidence_hom(0.5, g2)
+    assert str(info.value) == f"g2 must be in [0, 1e+12], got {np.atleast_1d(g2)[-1]}"
 
 
 def test_hom_names_the_most_negative_g2():
-    with pytest.raises(ValueError, match=r"^g2 must be >= 0, got -0\.5$"):
+    with pytest.raises(ValueError, match=r"^g2 must be in \[0, 1e\+12\], got -0\.5$"):
         coincidence_hom(0.5, np.array([1.0, -0.5, math.nan, -0.25, 2.0]))
 
 
@@ -177,11 +178,14 @@ def test_hom_names_the_most_negative_g2():
         (math.nan, "nan"),
         (np.array([0.2, 1.0, -0.25, 0.5]), "-0.25"),
         (np.array([0.2, math.nan]), "nan"),
+        (0.5 + 0.5j, "(0.5+0.5j)"),
+        (np.array([0.5, 0.5j]), "(0.5+0j)"),  # no entry of a complex array is real
     ],
 )
 def test_hom_names_a_reflectance_outside_the_unit_interval(r, shown):
-    with pytest.raises(ValueError, match=rf"^reflectance must be in \[0, 1\], got {shown}$"):
+    with pytest.raises(ValueError) as info:
         coincidence_hom(r, 1.0)
+    assert str(info.value) == f"reflectance must be in [0, 1], got {shown}"
 
 
 # --- explicit 3-port expansion ---------------------------------------------------
@@ -428,23 +432,31 @@ def test_closed_forms_of_floats_are_floats():
 
 
 @pytest.mark.parametrize(
-    "call",
+    "call, message",
     [
-        lambda: coincidence_hom(0.5, np.array([1.0, -0.1])),
-        lambda: coincidence_dft3(G2S, np.array([1.0, 1.0, -1.0, 1.0, 1.0])),
-        lambda: coincidence_sym_phase(PHIS, -G2S - 1, G3S),
-        lambda: coincidence_mismatch_n3(-G2S, G3S, 1.0),
+        (
+            lambda: coincidence_hom(0.5, np.array([1.0, -0.1])),
+            "g2 must be in [0, 1e+12], got -0.1",
+        ),
+        (
+            lambda: coincidence_dft3(G2S, np.array([1.0, 1.0, -1.0, 1.0, 1.0])),
+            "g3 must be in [0, 1e+12], got -1.0",
+        ),
+        (lambda: coincidence_sym_phase(PHIS, -G2S - 1, G3S), "g2 must be in [0, 1e+12], got -1.0"),
+        (lambda: coincidence_mismatch_n3(-G2S, G3S, 1.0), "g2 must be in [0, 1e+12], got -0.5"),
     ],
+    ids=[f"<lambda>{i}" for i in range(4)],
 )
-def test_closed_forms_reject_any_negative_array_entry(call):
-    with pytest.raises(ValueError, match="must be >= 0"):
+def test_closed_forms_reject_any_negative_array_entry(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
 
 
 def domain_cases():
-    """Each g argument of each closed form set to NaN or 2e12, as a float
-    and inside an array, then the (g2, g3 = g2^2) pairs with g3 past the
-    cap that test_helpers_match_their_ratio_forms skips."""
+    """Each g argument of each closed form set to NaN, 2e12 or 1+1j, as a
+    float and inside an array, then the (g2, g3 = g2^2) pairs with g3 past
+    the cap that test_helpers_match_their_ratio_forms skips.  Each case
+    ends with the entry the message names."""
     valid = [
         (coincidence_hom, {"r": 0.5, "g2": 1.0}),
         (coincidence_dft3, {"g2": 1.0, "g3": 1.0}),
@@ -453,20 +465,33 @@ def domain_cases():
     ]
     for form, args in valid:
         for name in (key for key in args if key[0] == "g"):
-            for bad in (math.nan, 2e12):
-                for kind, value in (("float", bad), ("array", np.array([1.0, bad]))):
-                    case = (form, {**args, name: value}, name)
+            for bad in (math.nan, 2e12, 1 + 1j):
+                array = np.array([1.0, bad])
+                named = array[0] if array.dtype.kind == "c" else bad  # no complex entry is real
+                for kind, value, shown in (("float", bad, bad), ("array", array, named)):
+                    case = (form, {**args, name: value}, name, shown)
                     yield pytest.param(*case, id=f"{form.__name__}-{name}-{bad:g}-{kind}")
     for g2 in np.geomspace(1e-6, 1e9, 31):
         if g2 * g2 > 1e12:
-            case = (coincidence_dft3, {"g2": g2, "g3": g2 * g2}, "g3")
+            case = (coincidence_dft3, {"g2": g2, "g3": g2 * g2}, "g3", g2 * g2)
             yield pytest.param(*case, id=f"coincidence_dft3-g2={g2:.3g}-g3=g2^2")
 
 
-@pytest.mark.parametrize("closed_form, args, name", list(domain_cases()))
-def test_closed_forms_reject_nan_or_g_past_the_cap(closed_form, args, name):
-    with pytest.raises(ValueError, match=rf"^{name} must stay within \[0, 1e\+12\]$"):
+@pytest.mark.parametrize("closed_form, args, name, shown", list(domain_cases()))
+def test_closed_forms_reject_nan_or_g_past_the_cap(closed_form, args, name, shown):
+    with pytest.raises(ValueError) as info:
         closed_form(**args)
+    assert str(info.value) == f"{name} must be in [0, 1e+12], got {shown}"
+
+
+@pytest.mark.parametrize(
+    "xi, shown",
+    [(2.5, "2.5"), (math.nan, "nan"), (1 + 1j, "(1+1j)"), (np.array([0.0, -0.5, 3.0]), "-0.5")],
+)
+def test_mismatch_names_an_xi_outside_the_path(xi, shown):
+    with pytest.raises(ValueError) as info:
+        coincidence_mismatch_n3(1.0, 1.0, xi)
+    assert str(info.value) == f"xi must be in [0, 2], got {shown}"
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -32,11 +32,20 @@ def test_visibility_equal_probabilities():
 
 
 def test_visibility_degenerate_denominator():
-    for bad in (1e-13, 0.0, -1.0, math.nan):
+    for bad in (1e-13, 0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="degenerate"):
             visibility(0.1, bad)
         with pytest.raises(ValueError, match="degenerate"):
             visibility(np.array([0.1, 0.2, 0.3]), np.array([1.0, bad, 2.0]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_visibility_rejects_a_non_finite_numerator(bad):
+    message = f"^p_id must be finite, got {bad!r}; cannot form a visibility$"
+    with pytest.raises(ValueError, match=message):
+        visibility(bad, 1.0)
+    with pytest.raises(ValueError, match=message):
+        visibility(np.array([0.1, bad, 0.3]), np.array([1.0, 1.0, 2.0]))
 
 
 def test_visibility_of_arrays_matches_scalar_calls():
@@ -143,7 +152,7 @@ def test_gaussian_bound_maximum_location():
 
 
 def test_gaussian_bound_rejects_negative_g2():
-    with pytest.raises(ValueError, match=r"g2 must be >= 0, got -0.1"):
+    with pytest.raises(ValueError, match=r"^g2 must be in \[0, 1e\+12\], got -0\.1$"):
         v3_gaussian_bound(-0.1)
 
 
@@ -258,7 +267,7 @@ def test_helpers_reject_nan(helper, args):
 
 
 def test_helpers_reject_what_their_closed_forms_and_sources_reject():
-    with pytest.raises(ValueError, match=r"g2 must stay within \[0, 1e\+12\]"):
+    with pytest.raises(ValueError, match=r"^g2 must be in \[0, 1e\+12\], got 2000000000000\.0$"):
         v2_closed(0.5, 2e12)
     with pytest.raises(ValueError, match="photon number must be an integer"):
         v3_fock(2.5)

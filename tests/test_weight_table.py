@@ -163,7 +163,7 @@ REFERENCE_CIRCUITS = [
 
 
 @pytest.mark.parametrize("u", REFERENCE_CIRCUITS)
-def test_table_matches_ryser_reference(u):
+def test_expansion_table_matches_permanent_reference(u):
     w_id, w_dist = coincidence._weights(circuits.custom(u))
     ref_id, ref_dist = permanent_table(np.asarray(u))
     assert w_id.shape == w_dist.shape == (len(enumerate_exponent_tuples(u.shape[0])),)
