@@ -29,17 +29,7 @@ from multiphoton.sources import (
     thermal_stats,
     vac12_mixture_stats,
 )
-from multiphoton.visibility import (
-    VisibilityPoint,
-    v2_closed,
-    v3_classical_bound,
-    v3_dft,
-    v3_fock,
-    v3_gaussian_bound,
-    v3_mixture,
-    visibility,
-    visibility_of,
-)
+from multiphoton.visibility import VisibilityPoint, visibility, visibility_of
 
 __version__ = "0.1.0"
 
@@ -72,12 +62,6 @@ __all__ = [
     "symmetric",
     "thermal_stats",
     "uniform_ensemble",
-    "v2_closed",
-    "v3_classical_bound",
-    "v3_dft",
-    "v3_fock",
-    "v3_gaussian_bound",
-    "v3_mixture",
     "vac12_mixture_stats",
     "visibility",
     "visibility_of",

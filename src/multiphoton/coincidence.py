@@ -335,8 +335,8 @@ def coincidence_n3_explicit(
 
 def _check_interval(name: str, x, hi: float) -> None:
     """Reject x, float or array, with any entry outside [0, hi]; NaN and
-    complex entries count as outside.  A float in range skips numpy."""
-    if type(x) is float and 0 <= x <= hi:
+    complex entries count as outside.  A float or int in range skips numpy."""
+    if (type(x) is float or type(x) is int) and 0 <= x <= hi:
         return
     xs = np.asarray(x)
     outside = xs if xs.dtype.kind == "c" else xs[~((xs >= 0) & (xs <= hi))]
@@ -348,7 +348,8 @@ def coincidence_hom(r: float, g2, indistinguishable: bool = True):
     """Normalized two-fold coincidence on a beamsplitter of reflectance R:
     1 - 2RT(2 - g2) for indistinguishable inputs, 1 - 2RT(1 - g2) for
     distinguishable ones.  R must lie in [0, 1] and g2 in [0, G_CAP], the
-    cap on source autocorrelations."""
+    cap on source autocorrelations.  The visibility, 2RT/(2RT g2 + 1 - 2RT),
+    never rises with g2."""
     _check_interval("reflectance", r, 1)
     _check_interval("g2", g2, G_CAP)
     rt2 = 2 * r * (1 - r)
@@ -359,7 +360,8 @@ def coincidence_dft3(g2, g3, indistinguishable: bool = True):
     """Normalized three-fold coincidence on the balanced 3-port for
     symmetric inputs: g3/9 + 1/3, or g3/9 + 2*g2/3 + 2/9 when the inputs
     are distinguishable (the g2 interference terms vanish only in the
-    indistinguishable case, so that result does not take g2's shape)."""
+    indistinguishable case, so that result does not take g2's shape).  The
+    visibility is (6 g2 - 1)/(g3 + 6 g2 + 2)."""
     _check_interval("g2", g2, G_CAP)
     _check_interval("g3", g3, G_CAP)
     if indistinguishable:
@@ -405,11 +407,13 @@ def coincidence_sym_phase(phi, g2, g3, indistinguishable: bool = True):
                  + |a|^6 + 3|a|^2|b|^4 + 2|b|^6
 
     Must agree with the general engines applied to the same circuit.  phi
-    must be finite, as circuits.symmetric requires.
+    must be real and finite, as circuits.symmetric requires.
     """
     _check_interval("g2", g2, G_CAP)
     _check_interval("g3", g3, G_CAP)
     scalar = isinstance(phi, (float, int))  # the quick path skips numpy
+    if not scalar and (phi := np.asarray(phi)).dtype.kind == "c":
+        raise ValueError(f"phi must be real, got {phi.flat[0]}")
     if not (math.isfinite(phi) if scalar else np.all(np.isfinite(phi))):
         raise ValueError("phi must be finite")
     e = complex(math.cos(phi), math.sin(phi)) if scalar else np.cos(phi) + 1j * np.sin(phi)

@@ -124,12 +124,8 @@ def maximize_classical(phi: float) -> OptimumReport:
     golden-section refinement of the best bracket.  A flat objective
     (e.g. the identity circuit) reports the lower boundary.
     """
-
-    def objective(g2):  # a float or an array of them
-        return visibility_of(coincidence_sym_phase, phi, g2, g2 * g2).v
-
     xs = np.logspace(math.log10(G2_LO), math.log10(G2_HI), COARSE_POINTS)
-    vals = objective(xs)
+    vals = _noise_visibility(phi, xs)
     if vals.max() - vals.min() < 1e-14:
         return OptimumReport(
             g2_opt=G2_LO, v_opt=float(vals[0]), bracket=(G2_LO, G2_LO), iterations=0
@@ -137,8 +133,14 @@ def maximize_classical(phi: float) -> OptimumReport:
     i = int(np.argmax(vals))
     lo = float(xs[max(i - 1, 0)])
     hi = float(xs[min(i + 1, COARSE_POINTS - 1)])
-    x, fx, iterations = golden_section_max(objective, lo, hi)
+    x, fx, iterations = golden_section_max(lambda g2: _noise_visibility(phi, g2), lo, hi)
     return OptimumReport(g2_opt=x, v_opt=fx, bracket=(lo, hi), iterations=iterations)
+
+
+def _noise_visibility(phi, g2):
+    """Symmetric-circuit visibility on the classical boundary g3 = g2^2;
+    phi broadcasts against g2."""
+    return visibility_of(coincidence_sym_phase, phi, g2, g2 * g2).v
 
 
 def _fock_visibility(phi, ns: np.ndarray) -> np.ndarray:
@@ -253,7 +255,7 @@ def crossover_window() -> CrossoverReport:
     v_laser = visibility_of(coincidence_sym_phase, phis, 1.0, 1.0).v
     fock_vs = _fock_visibility(phis[:, None], ns)  # one row per phase
     fock_margin = fock_vs.max(axis=1) - v_laser
-    noise_margin = visibility_of(coincidence_sym_phase, phis, g2_fixed, g2_fixed**2).v - v_laser
+    noise_margin = _noise_visibility(phis, g2_fixed) - v_laser
     n_best = ns[fock_vs.argmax(axis=1)].astype(int)
     rows = [
         {"phi": phi, "fock_margin": fm, "noise_margin": nm, "n_best": n}

@@ -133,6 +133,8 @@ def vac12_mixture_stats(p: float, q: float, max_order: int = 3) -> SourceStats:
     Weights are p, (1-p)q and (1-p)(1-q).  Mean is (1-p)(2-q);
     g^(2) = 2(1-q) / ((1-p)(2-q)^2) and g^(m) = 0 for m >= 3, which lets
     the mixture reach any g2 in [0, inf) with no third-order penalty.
+    On the balanced 3-port its visibility is (x - 1)/(x + 2) with
+    x = 6 g^(2) = 12(1-q) / ((1-p)(2-q)^2).
     """
     if not 0 <= p < 1:
         raise ValueError(f"vacuum probability must be in [0, 1), got {p}")

@@ -1,12 +1,12 @@
-"""Interference visibilities and statistical bound curves.
+"""Interference visibilities.
 
 Visibility is the coincidence contrast normalized against the
 distinguishable limit of the same source, V = 1 - P_id / P_dist.
 Positive V is a coincidence dip (destructive interference), negative V a
 bump; the normalization cancels the trivial bunching background so that
 sources with very different photon statistics can be compared.
-The bound and family curves are visibility() of the closed forms at each
-family's g; the ratio in each docstring is what that evaluates to.
+The bound and source-family curves are visibility_of() of a closed form
+at each family's g (see multiphoton.optimize).
 """
 
 from __future__ import annotations
@@ -16,9 +16,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-from multiphoton.coincidence import coincidence_dft3, coincidence_hom
-from multiphoton.sources import G_CAP, fock_stats, vac12_mixture_stats
 
 EPS_DENOMINATOR = 1e-12
 
@@ -62,55 +59,3 @@ def visibility_of(closed_form: Callable, *args) -> VisibilityPoint:
     p_id = closed_form(*args, indistinguishable=True)
     return visibility(p_id, closed_form(*args, indistinguishable=False))
 
-
-def v2_closed(r: float, g2: float) -> float:
-    """Two-port visibility 2RT / (2RT g2 + 1 - 2RT).
-
-    Strictly decreasing in g2 (dV/dg2 = -V^2): for two ports, statistical
-    noise can only wash out the dip.
-    """
-    return visibility_of(coincidence_hom, r, g2).v
-
-
-def v3_dft(g2: float, g3: float) -> float:
-    """Balanced 3-port visibility (6 g2 - 1) / (g3 + 6 g2 + 2).
-
-    Negative below g2 = 1/6 (coincidence bump), down to -0.5 for single
-    photons; positive and non-monotonic in the noisy regime.
-    """
-    return visibility_of(coincidence_dft3, g2, g3).v
-
-
-def v3_classical_bound(g2: float) -> float:
-    """Ceiling on the balanced 3-port visibility for classical light:
-    v3_dft evaluated on the Cauchy-Schwarz boundary g3 = g2^2."""
-    return v3_dft(g2, g2 * g2)
-
-
-def v3_gaussian_bound(g2: float) -> float:
-    """Bound for pure Gaussian states: v3_dft on g3 = (2 - 3 sqrt(g2))^2.
-
-    Tends to 6/15 = 0.4 as g2 grows; in the regime g2 <= 4/9 a measured
-    visibility outside this curve witnesses non-Gaussianity.
-    """
-    if g2 < 0:
-        raise ValueError(f"g2 must be in [0, {G_CAP:g}], got {g2}")
-    return v3_dft(g2, (2 - 3 * math.sqrt(g2)) ** 2)
-
-
-def v3_fock(n: int) -> float:
-    """Balanced 3-port visibility of n-photon inputs: v3_dft at
-    g2 = 1 - 1/n, g3 = (1 - 1/n)(1 - 2/n); approaches the Poissonian 5/9
-    from below as n grows."""
-    stats = fock_stats(n)
-    return v3_dft(stats.g2, stats.g3)
-
-
-def v3_mixture(p: float, q: float) -> float:
-    """Balanced 3-port visibility of the vacuum/1/2-photon mixture.
-
-    With x = 12(1-q) / ((1-p)(2-q)^2) this is (x - 1)/(x + 2); sweeping p
-    along q = 1 - p covers the whole range (-0.5, 1).
-    """
-    stats = vac12_mixture_stats(p, q)
-    return v3_dft(stats.g2, stats.g3)

@@ -19,7 +19,7 @@ from multiphoton.optimize import (
     golden_section_max,
     maximize_classical,
 )
-from multiphoton.visibility import v2_closed, v3_gaussian_bound
+from multiphoton.visibility import visibility_of
 
 
 def report(criterion, ok, detail):
@@ -37,9 +37,9 @@ def vis_from_engines(circuit, stats):
 def test_criterion_1_hom_closed_form():
     start = time.perf_counter()
     anchors = [
-        abs(v2_closed(0.5, 0.0) - 1.0),
-        abs(v2_closed(0.5, 1.0) - 0.5),
-        abs(v2_closed(0.5, 2.0) - 1 / 3),
+        abs(visibility_of(coincidence.coincidence_hom, 0.5, 0.0).v - 1.0),
+        abs(visibility_of(coincidence.coincidence_hom, 0.5, 1.0).v - 0.5),
+        abs(visibility_of(coincidence.coincidence_hom, 0.5, 2.0).v - 1 / 3),
     ]
     worst = 0.0
     for r in np.linspace(0.05, 0.95, 10):
@@ -47,7 +47,8 @@ def test_criterion_1_hom_closed_form():
             _, _, v = vis_from_engines(
                 circuits.beamsplitter(float(r)), sources.custom_stats(float(g2))
             )
-            worst = max(worst, abs(v - v2_closed(float(r), float(g2))))
+            closed = visibility_of(coincidence.coincidence_hom, float(r), float(g2)).v
+            worst = max(worst, abs(v - closed))
     elapsed = time.perf_counter() - start
     ok = max(anchors) < 1e-12 and worst <= 1e-12 and elapsed < 1.0
     report(
@@ -94,13 +95,16 @@ def test_criterion_3_classical_optimum():
 
 
 def test_criterion_4_gaussian_bound_curve():
+    def gaussian_bound(g2):
+        return visibility_of(coincidence.coincidence_dft3, g2, (2 - 3 * math.sqrt(g2)) ** 2).v
+
     grid = np.linspace(0.5, 4.0, 400)
-    values = [v3_gaussian_bound(float(g)) for g in grid]
+    values = [gaussian_bound(float(g)) for g in grid]
     i = int(np.argmax(values))
     g2_max, v_max, _ = golden_section_max(
-        v3_gaussian_bound, float(grid[max(i - 1, 0)]), float(grid[i + 1])
+        gaussian_bound, float(grid[max(i - 1, 0)]), float(grid[i + 1])
     )
-    tail = v3_gaussian_bound(1e8)
+    tail = gaussian_bound(1e8)
     ok = 0.575 <= v_max <= 0.585 and 1.6 <= g2_max <= 1.8 and abs(tail - 0.4) <= 1e-3
     report(
         "criterion-4 pure-Gaussian bound",

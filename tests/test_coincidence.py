@@ -425,6 +425,19 @@ def test_closed_forms_broadcast_like_elementwise_calls(case):
         np.testing.assert_array_equal(result, expected)
 
 
+def test_float_or_int_arguments_skip_numpy(monkeypatch):
+    calls = [
+        (coincidence_hom, (0.5, 1)),
+        (coincidence_dft3, (2, 6)),
+        (coincidence_sym_phase, (0.5, 1, 1)),
+    ]
+    expected = [form(*(float(x) for x in args)) for form, args in calls]
+    monkeypatch.setattr(coincidence, "np", None)
+    for (form, args), value in zip(calls, expected):
+        assert form(*args) == value
+        assert form(*(float(x) for x in args)) == value
+
+
 def test_closed_forms_of_floats_are_floats():
     assert type(coincidence_sym_phase(0.7, 1.3, 1.69)) is float
     assert type(coincidence_mismatch_n3(1.3, 1.69, 0.5)) is float
@@ -455,8 +468,8 @@ def test_closed_forms_reject_any_negative_array_entry(call, message):
 def domain_cases():
     """Each g argument of each closed form set to NaN, 2e12 or 1+1j, as a
     float and inside an array, then the (g2, g3 = g2^2) pairs with g3 past
-    the cap that test_helpers_match_their_ratio_forms skips.  Each case
-    ends with the entry the message names."""
+    the cap that test_closed_form_visibilities_match_their_ratio_forms
+    skips.  Each case ends with the entry the message names."""
     valid = [
         (coincidence_hom, {"r": 0.5, "g2": 1.0}),
         (coincidence_dft3, {"g2": 1.0, "g3": 1.0}),
@@ -501,6 +514,22 @@ def test_sym_phase_rejects_non_finite_phi(bad, kind):
     for indistinguishable in (True, False):
         with pytest.raises(ValueError, match=r"^phi must be finite$"):
             coincidence_sym_phase(phi, 1.0, 1.0, indistinguishable)
+
+
+@pytest.mark.parametrize(
+    "phi, shown",
+    [
+        (1 + 1j, "(1+1j)"),
+        (np.complex128(0.5), "(0.5+0j)"),
+        ([0.7, 1 + 1j], "(0.7+0j)"),  # no entry of a complex array is real
+    ],
+    ids=["complex", "complex128", "array"],
+)
+def test_sym_phase_rejects_complex_phi(phi, shown):
+    for indistinguishable in (True, False):
+        with pytest.raises(ValueError) as info:
+            coincidence_sym_phase(phi, 1.0, 1.0, indistinguishable)
+        assert str(info.value) == f"phi must be real, got {shown}"
 
 
 def test_permanent_cache_can_be_cleared():

@@ -15,6 +15,7 @@ from multiphoton.optimize import (
     scan_phase,
     standard_sources,
 )
+from multiphoton.visibility import visibility_of
 
 
 def rows_self_consistent(results, tol=1e-12):
@@ -52,6 +53,11 @@ def test_maximize_classical_flat_identity_reports_boundary():
     assert report.iterations == 0
 
 
+def test_maximize_classical_rejects_complex_phi():
+    with pytest.raises(ValueError, match=r"^phi must be real, got \(1\+0\.5j\)$"):
+        maximize_classical(1 + 0.5j)
+
+
 def test_maximize_classical_refinement_stable(monkeypatch):
     coarse = maximize_classical(1.1)
     monkeypatch.setattr(optimize, "COARSE_POINTS", 128)
@@ -86,6 +92,18 @@ def test_fock_approaches_poissonian_at_any_phase():
             phi, 1, 1, True
         ) / coincidence.coincidence_sym_phase(phi, 1, 1, False)
         assert abs(v_fock - v_laser) < 1e-4
+
+
+@pytest.mark.parametrize("phi", [0.6, math.pi / 2, 2 * math.pi / 3, 2.8])
+def test_fock_curve_matches_fock_stats(phi):
+    # the optimizers' float Fock curve against fock_stats' exact ratios,
+    # which differ in the last bit of g2 or g3 at 291 of these n
+    ns = np.arange(1, optimize.FOCK_N_MAX + 1)
+    curve = optimize._fock_visibility(phi, ns.astype(float))
+    for n, v in zip(ns.tolist(), curve.tolist()):
+        stats = sources.fock_stats(n)
+        exact = visibility_of(coincidence.coincidence_sym_phase, phi, stats.g2, stats.g3).v
+        assert v == pytest.approx(exact, rel=0, abs=1e-14)
 
 
 # --- scans -------------------------------------------------------------------
