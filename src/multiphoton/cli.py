@@ -16,14 +16,13 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from multiphoton import circuits, coincidence, sources, verify
+from multiphoton import circuits, coincidence, sources
 from multiphoton.optimize import (
     OPTIMAL_NOISE_P,
     ScanResult,
     best_fock,
     crossover_window,
+    linear_grid,
     maximize_classical,
     scan_g2_dft,
     scan_overlap,
@@ -53,7 +52,7 @@ def non_negative_int(text: str) -> int:
     return value
 
 
-def parse_grid_spec(text: str) -> np.ndarray:
+def parse_grid_spec(text: str) -> list[float]:
     """Parse 'start:stop:count' into an inclusive linear grid."""
     parts = text.split(":")
     if len(parts) != 3:
@@ -72,7 +71,7 @@ def parse_grid_spec(text: str) -> np.ndarray:
         raise UsageError(f"grid needs stop > start, got {text!r}")
     if not math.isfinite(hi - lo):
         raise UsageError(f"grid span stop - start overflows, got {text!r}")
-    return np.linspace(lo, hi, count)
+    return linear_grid(lo, hi, count)
 
 
 def parse_source_spec(text: str, max_order: int = 3) -> tuple[str, sources.SourceStats]:
@@ -141,6 +140,8 @@ def load_circuit_json(path: str) -> circuits.Circuit:
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"cannot load circuit from {path}: {exc}") from None
     coincidence.enumerate_exponent_tuples(n)  # refuses n outside 1..MAX_PORTS
+    import numpy as np
+
     try:
         u = np.array(data["re"], dtype=float) + 1j * np.array(data["im"], dtype=float)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -186,13 +187,13 @@ def cmd_hom(args) -> int:
         grid = parse_grid_spec(args.scan_g2)
     elif args.source is not None:
         _, stats = parse_source_spec(args.source, max_order=2)  # a 2-port sum reads no g past g2
-        grid = np.array([stats.g2])
+        grid = [stats.g2]
     else:
-        grid = np.array([args.g2])
-    point = visibility_of(coincidence.coincidence_hom, args.R, grid)
+        grid = [args.g2]
     lines = ["param,g2,p_id,p_dist,v"]
-    for g2, *values in zip(grid, point.p_id, point.p_dist, point.v):
-        lines.append(",".join(map(_fmt, (g2, g2, *values))))
+    for g2 in grid:
+        point = visibility_of(coincidence.coincidence_hom, args.R, g2)
+        lines.append(",".join(map(_fmt, (g2, g2, point.p_id, point.p_dist, point.v))))
     _emit(lines, args.output)
     return 0
 
@@ -257,7 +258,7 @@ def cmd_optimize(args) -> int:
         payload = dataclasses.asdict(crossover_window())
     elif args.scan_phi is not None:
         grid = parse_grid_spec(args.scan_phi)
-        payload = {"reports": [_optimum_report(float(phi)) for phi in grid]}
+        payload = {"reports": [_optimum_report(phi) for phi in grid]}
     else:
         payload = _optimum_report(args.phi)
     _emit([json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)], args.output)
@@ -267,6 +268,8 @@ def cmd_optimize(args) -> int:
 # --- verification suite -----------------------------------------------------
 
 def cmd_verify(args) -> int:
+    from multiphoton import verify
+
     passed = []
     for record in verify.run_checks(args.seed):
         print(f"{'ok  ' if record.ok else 'FAIL'} {record.name}: {record.detail}")

@@ -47,14 +47,17 @@ statistics serves only to cross-check the engines.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
-from multiphoton.circuits import Circuit
 from multiphoton.sources import G_CAP, SourceStats
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from multiphoton.circuits import Circuit
 
 MAX_PORTS = 8
 
@@ -115,6 +118,8 @@ def _expansion_plan(n: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, .
     """
     if not 1 <= n <= MAX_PORTS:
         raise ValueError(f"port count must be in 1..{MAX_PORTS}, got {n}")
+    import numpy as np
+
     radix = (n + 1) ** np.arange(n - 1, -1, -1)
     codes = np.zeros(1, dtype=np.int64)
     shifts = []
@@ -139,6 +144,8 @@ def _expansion_plan(n: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, .
 
 @lru_cache(maxsize=256)
 def _weights(circuit: Circuit) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
+
     n, u = circuit.n, circuit.u
     m = np.stack((u, np.abs(u) ** 2), axis=-1)[..., None]  # m[i, j] = [[u_ij], [v_ij]]
     # Multiply in one row factor sum_j m_ij x_j at a time.  np.add.at adds
@@ -178,6 +185,8 @@ _latest = _NO_ENSEMBLE
 def _port_products(stats: tuple[SourceStats, ...]) -> np.ndarray:
     """prod_i n_i^{s_ki} g_i^(s_ki) for every pattern s_k, as a read-only
     K-vector in table order; orders a port does not define count as 0."""
+    import numpy as np
+
     n = len(stats)
     take = _expansion_plan(n)[1]
     # The means, then T's rows of g's, in one flat float array: one
@@ -213,6 +222,8 @@ def _pattern_sum(stats: Sequence[SourceStats], weights: np.ndarray) -> float:
         latest = _latest = (key, _port_products(key), short)
     _, products, short = latest
     if short:
+        import numpy as np
+
         s = _expansion_plan(n)[0]
         means = np.array([stat.mean_n for stat in key])
         orders = np.array([stat.max_order for stat in key])
@@ -280,6 +291,8 @@ def coincidence_n3_explicit(
         def weight(amplitude):
             return abs(amplitude) ** 2
     else:
+        import numpy as np
+
         w = np.abs(circuit.u) ** 2
 
         def weight(value):
@@ -327,24 +340,30 @@ def coincidence_n3_explicit(
 
 
 # --- closed forms ----------------------------------------------------------
-# Each closed form broadcasts over numpy arrays of its parameters and gives
-# a float for floats.  Only an array phi goes through numpy's cos and
-# complex powers; any other call makes the same IEEE operations per element.
-# Each checks its g, R and xi with _check_interval, and so rejects a g
-# outside [0, G_CAP] as SourceStats does.
+# Each closed form takes real numbers and gives a float for floats; it makes
+# the same IEEE operations whichever caller it serves, so a scan is a loop of
+# calls.  Each checks its g, R and xi with _check_interval, and so rejects a
+# g outside [0, G_CAP] as SourceStats does.
+
+def _real(name: str, x) -> bool:
+    """Whether x is a real number (np.float64 is a float; a bool counts as
+    no real number).  Raises for what is no number at all, an array too."""
+    if isinstance(x, numbers.Real):
+        return not isinstance(x, bool)
+    if isinstance(x, numbers.Complex):
+        return False
+    raise ValueError(f"{name} must be a number, got {type(x).__name__}")
+
 
 def _check_interval(name: str, x, hi: float) -> None:
-    """Reject x, float or array, with any entry outside [0, hi]; NaN and
-    complex entries count as outside.  A float or int in range skips numpy."""
-    if (type(x) is float or type(x) is int) and 0 <= x <= hi:
+    """Reject x unless it is a real number in [0, hi]; NaN, a bool and a
+    complex number count as outside.  A float or an int skips _real."""
+    if (type(x) is float or type(x) is int or _real(name, x)) and 0 <= x <= hi:
         return
-    xs = np.asarray(x)
-    outside = xs if xs.dtype.kind == "c" else xs[~((xs >= 0) & (xs <= hi))]
-    if outside.size:
-        raise ValueError(f"{name} must be in [0, {hi:g}], got {outside.flat[0]}")
+    raise ValueError(f"{name} must be in [0, {hi:g}], got {x}")
 
 
-def coincidence_hom(r: float, g2, indistinguishable: bool = True):
+def coincidence_hom(r: float, g2: float, indistinguishable: bool = True) -> float:
     """Normalized two-fold coincidence on a beamsplitter of reflectance R:
     1 - 2RT(2 - g2) for indistinguishable inputs, 1 - 2RT(1 - g2) for
     distinguishable ones.  R must lie in [0, 1] and g2 in [0, G_CAP], the
@@ -356,7 +375,7 @@ def coincidence_hom(r: float, g2, indistinguishable: bool = True):
     return 1 - rt2 * (2 - g2) if indistinguishable else 1 - rt2 * (1 - g2)
 
 
-def coincidence_dft3(g2, g3, indistinguishable: bool = True):
+def coincidence_dft3(g2: float, g3: float, indistinguishable: bool = True) -> float:
     """Normalized three-fold coincidence on the balanced 3-port for
     symmetric inputs: g3/9 + 1/3, or g3/9 + 2*g2/3 + 2/9 when the inputs
     are distinguishable (the g2 interference terms vanish only in the
@@ -369,7 +388,7 @@ def coincidence_dft3(g2, g3, indistinguishable: bool = True):
     return g3 / 9 + 2 * g2 / 3 + 2 / 9
 
 
-def coincidence_mismatch_n3(g2, g3, xi):
+def coincidence_mismatch_n3(g2: float, g3: float, xi: float) -> float:
     """Normalized three-fold coincidence on the balanced 3-port along the
     sequential-alignment path of the pairwise mode overlaps.
 
@@ -385,18 +404,15 @@ def coincidence_mismatch_n3(g2, g3, xi):
     _check_interval("g2", g2, G_CAP)
     _check_interval("g3", g3, G_CAP)
     _check_interval("xi", xi, 2)
-    xi = np.asarray(xi, dtype=float)
-    first_leg = xi <= 1
-    m = np.where(first_leg, xi, xi - 1)  # M23 on the first leg, M12 = M31 on the second
-    p = np.where(
-        first_leg,
-        g3 / 9 + 2 * (3 - m) * g2 / 9 + (2 - m) / 9,
-        g3 / 9 + 4 * (1 - m) * g2 / 9 + (1 + 2 * m) / 9,
-    )
-    return p if p.ndim else float(p)
+    if xi <= 1:  # M = M23
+        return g3 / 9 + 2 * (3 - xi) * g2 / 9 + (2 - xi) / 9
+    m = xi - 1  # M = M12 = M31
+    return g3 / 9 + 4 * (1 - m) * g2 / 9 + (1 + 2 * m) / 9
 
 
-def coincidence_sym_phase(phi, g2, g3, indistinguishable: bool = True):
+def coincidence_sym_phase(
+    phi: float, g2: float, g3: float, indistinguishable: bool = True
+) -> float:
     """Normalized three-fold coincidence on the symmetric 3-port.
 
     Closed form in alpha = (2 + e^{i phi})/3, beta = (-1 + e^{i phi})/3:
@@ -411,21 +427,24 @@ def coincidence_sym_phase(phi, g2, g3, indistinguishable: bool = True):
     """
     _check_interval("g2", g2, G_CAP)
     _check_interval("g3", g3, G_CAP)
-    scalar = isinstance(phi, (float, int))  # the quick path skips numpy
-    if not scalar and (phi := np.asarray(phi)).dtype.kind == "c":
-        raise ValueError(f"phi must be real, got {phi.flat[0]}")
-    if not (math.isfinite(phi) if scalar else np.all(np.isfinite(phi))):
+    if not (type(phi) is float or type(phi) is int or _real("phi", phi)):
+        raise ValueError(f"phi must be real, got {phi}")
+    if not math.isfinite(phi):
         raise ValueError("phi must be finite")
-    e = complex(math.cos(phi), math.sin(phi)) if scalar else np.cos(phi) + 1j * np.sin(phi)
+    a, b, c = _sym_phase_terms(phi, indistinguishable)
+    return a * g3 + b * g2 + c
+
+
+def _sym_phase_terms(phi: float, indistinguishable: bool) -> tuple[float, float, float]:
+    """(A, B, C) with coincidence_sym_phase = A g3 + B g2 + C at this phi."""
+    e = complex(math.cos(phi), math.sin(phi))
     a = (2 + e) / 3
     b = (-1 + e) / 3
     aa = abs(a) ** 2
     bb = abs(b) ** 2
-    third = 3 * aa * bb**2 * g3
+    third = 3 * aa * bb**2
     if indistinguishable:
-        second = 6 * bb * abs(a**2 + a * b + b**2) ** 2 * g2
-        single = abs(a**3 + 3 * a * b**2 + 2 * b**3) ** 2
-    else:
-        second = 6 * bb * (aa**2 + aa * bb + bb**2) * g2
-        single = aa**3 + 3 * aa * bb**2 + 2 * bb**3
-    return third + second + single
+        second = 6 * bb * abs(a**2 + a * b + b**2) ** 2
+        return third, second, abs(a**3 + 3 * a * b**2 + 2 * b**3) ** 2
+    second = 6 * bb * (aa**2 + aa * bb + bb**2)
+    return third, second, aa**3 + 3 * aa * bb**2 + 2 * bb**3

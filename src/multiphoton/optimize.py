@@ -13,9 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 from multiphoton.coincidence import (
+    _sym_phase_terms,
     coincidence_dft3,
     coincidence_hom,
     coincidence_mismatch_n3,
@@ -38,14 +37,38 @@ OPTIMAL_NOISE_P = 6 / (1 + math.sqrt(109))
 
 GOLDEN = (math.sqrt(5) - 1) / 2
 
-# maximize_classical scans g2 in [G2_LO, G2_HI] on COARSE_POINTS log-spaced
-# values; golden_section_max then stops at a bracket of TOL, or after
-# MAX_ITERATIONS steps.  best_fock scans n = 1..FOCK_N_MAX.
-G2_LO, G2_HI = 1.0, 1e4
-COARSE_POINTS = 64
+# maximize_classical scans g2 on COARSE_GRID, np.logspace(0, 4, 64) as numpy
+# rounds it (Python's 10.0 ** y differs at 4 of the 64 points);
+# golden_section_max then stops at a bracket of TOL, or after MAX_ITERATIONS
+# steps.  best_fock searches n = 1..FOCK_N_MAX.
+COARSE_GRID = (
+    1.0, 1.1574228805920572, 1.3396277245180155, 1.5505157798326246, 1.7946024402973164,
+    2.0771139259664553, 2.4040991835099716, 2.7825594022071245, 3.220597918721083,
+    3.72759372031494, 4.314402261443781, 4.993587893473147, 5.779692884153313,
+    6.689548786914143, 7.742636826811269, 8.961505019466045, 10.37225095407057,
+    12.005080577484073, 13.894954943731374, 16.082338776670415, 18.614066873551213,
+    21.544346900318832, 24.935920049841585, 28.861404414300882, 33.404849835132445,
+    38.6635375219241, 44.75006297250448, 51.7947467923121, 59.94842503189409,
+    69.38567878737184, 80.30857221391513, 92.95097898806489, 107.58358985421785,
+    124.51970847350319, 144.12195967188532, 166.81005372000593, 193.06977288832496,
+    223.46337269165923, 258.64162052759684, 299.357729472049, 346.4834855730366,
+    401.0279139495203, 464.15888336127773, 537.2281118324031, 621.8001087320915,
+    719.6856730011514, 832.9806647658264, 964.1108804907501, 1115.883992507748,
+    1291.5496650148827, 1494.8691337092328, 1730.1957388458943, 2002.568136043117,
+    2317.8181806008897, 2682.6957952797247, 3105.01349512486, 3593.813663804626,
+    4159.562163071842, 4814.372420784343, 5572.264795507173, 6449.466771037621,
+    7464.760408417113, 8639.884494839682, 10000.0,
+)
 TOL = 1e-10
 MAX_ITERATIONS = 200
 FOCK_N_MAX = 1000
+
+
+def linear_grid(lo: float, hi: float, count: int) -> list[float]:
+    """``count`` >= 2 evenly spaced floats from lo to hi inclusive, the same
+    bits as np.linspace(lo, hi, count): lo + i * step, and hi last."""
+    step = (hi - lo) / (count - 1)
+    return [lo + i * step for i in range(count - 1)] + [hi]
 
 
 @dataclass
@@ -110,62 +133,85 @@ def golden_section_max(
     return x, f(x), iterations
 
 
-def _curve(label: str, grid, point: VisibilityPoint) -> ScanResult:
-    """One row per grid value; a scalar grid gives a single row."""
-    columns = (grid, point.p_id, point.p_dist, point.v)
-    return ScanResult(label, list(zip(*(np.atleast_1d(c).tolist() for c in columns))))
+def _row(x: float, point: VisibilityPoint) -> tuple[float, float, float, float]:
+    return x, point.p_id, point.p_dist, point.v
 
 
 def maximize_classical(phi: float) -> OptimumReport:
     """Maximize the symmetric-circuit visibility over classical noise.
 
     The search runs along the bound-saturating manifold g3 = g2^2 (the
-    diluted laser), on a coarse log-spaced g2 grid followed by
+    diluted laser), on the log-spaced COARSE_GRID of g2 followed by
     golden-section refinement of the best bracket.  A flat objective
     (e.g. the identity circuit) reports the lower boundary.
     """
-    xs = np.logspace(math.log10(G2_LO), math.log10(G2_HI), COARSE_POINTS)
-    vals = _noise_visibility(phi, xs)
-    if vals.max() - vals.min() < 1e-14:
-        return OptimumReport(
-            g2_opt=G2_LO, v_opt=float(vals[0]), bracket=(G2_LO, G2_LO), iterations=0
-        )
-    i = int(np.argmax(vals))
-    lo = float(xs[max(i - 1, 0)])
-    hi = float(xs[min(i + 1, COARSE_POINTS - 1)])
+    vals = [_noise_visibility(phi, g2) for g2 in COARSE_GRID]
+    best = max(vals)
+    if best - min(vals) < 1e-14:
+        lo = COARSE_GRID[0]
+        return OptimumReport(g2_opt=lo, v_opt=vals[0], bracket=(lo, lo), iterations=0)
+    i = vals.index(best)  # the first maximum, as np.argmax picks
+    lo = COARSE_GRID[max(i - 1, 0)]
+    hi = COARSE_GRID[min(i + 1, len(COARSE_GRID) - 1)]
     x, fx, iterations = golden_section_max(lambda g2: _noise_visibility(phi, g2), lo, hi)
     return OptimumReport(g2_opt=x, v_opt=fx, bracket=(lo, hi), iterations=iterations)
 
 
-def _noise_visibility(phi, g2):
-    """Symmetric-circuit visibility on the classical boundary g3 = g2^2;
-    phi broadcasts against g2."""
+def _noise_visibility(phi: float, g2: float) -> float:
+    """Symmetric-circuit visibility on the classical boundary g3 = g2^2."""
     return visibility_of(coincidence_sym_phase, phi, g2, g2 * g2).v
 
 
-def _fock_visibility(phi, ns: np.ndarray) -> np.ndarray:
-    """Symmetric-circuit visibility of n-photon inputs; phi broadcasts against ns."""
-    g2 = 1 - 1 / ns
-    return visibility_of(coincidence_sym_phase, phi, g2, g2 * (1 - 2 / ns)).v
+def _fock_visibility(phi: float, n: int) -> float:
+    """Symmetric-circuit visibility of n-photon inputs."""
+    g2 = 1 - 1 / n
+    return visibility_of(coincidence_sym_phase, phi, g2, g2 * (1 - 2 / n)).v
+
+
+def _fock_extremes(phi: float, lo: int, hi: int) -> tuple[int, float, int, float]:
+    """(n, V) at the largest and at the smallest Fock visibility over
+    n = lo..hi, the smallest such n on a tie, as a scan of every n finds.
+
+    P = A g3 + B g2 + C, and along the Fock family x = 1/n gives g2 = 1 - x
+    and g3 = 1 - 3x + 2x^2, so P_id and P_dist are quadratics in x.  Their
+    x^3 terms cancel in P_id' P_dist - P_id P_dist', so dV/dx = 0 is a
+    quadratic: V is monotone in n between its roots, and its extremes lie
+    at lo, at hi or next to a root n = 1/x (floor and ceil, one more each
+    way for rounding).
+    """
+    (a1, b1, c1), (a2, b2, c2) = (
+        (2 * a, -(3 * a + b), a + b + c)
+        for a, b, c in (_sym_phase_terms(phi, flag) for flag in (True, False))
+    )
+    qa, qb, qc = a1 * b2 - a2 * b1, 2 * (a1 * c2 - a2 * c1), b1 * c2 - b2 * c1
+    if qa == 0:
+        roots = [-qc / qb] if qb else []
+    elif (disc := qb * qb - 4 * qa * qc) < 0:
+        roots = []
+    else:  # both roots without cancellation; q = 0 only at a double root x = 0
+        q = -(qb + math.copysign(math.sqrt(disc), qb)) / 2
+        roots = [q / qa, qc / q] if q else []
+    candidates = {lo, hi}
+    for x in roots:
+        if x > 0 and lo - 2 < 1 / x < hi + 2:
+            n = math.floor(1 / x)
+            candidates.update(k for k in range(n - 1, n + 3) if lo <= k <= hi)
+    vs = {n: _fock_visibility(phi, n) for n in sorted(candidates)}
+    n_best = max(vs, key=vs.__getitem__)
+    n_worst = min(vs, key=vs.__getitem__)
+    return n_best, vs[n_best], n_worst, vs[n_worst]
 
 
 def best_fock(phi: float) -> FockOptimumReport:
-    """Scan Fock photon numbers 1..FOCK_N_MAX at a fixed circuit phase.
+    """The best and worst Fock photon numbers in 1..FOCK_N_MAX at a fixed
+    circuit phase.
 
-    Closed-form and cheap, so the scan is exhaustive.  Both sign branches
-    are reported because the best dip and the best bump generally occur
-    at different n (single photons dominate the bump branch).
+    Exact, from the Fock curve's critical points (see _fock_extremes).
+    Both sign branches are reported because the best dip and the best bump
+    generally occur at different n (single photons dominate the bump
+    branch).
     """
-    ns = np.arange(1, FOCK_N_MAX + 1, dtype=float)
-    vs = _fock_visibility(phi, ns)
-    i_best = int(np.argmax(vs))
-    i_worst = int(np.argmin(vs))
-    return FockOptimumReport(
-        n_best=i_best + 1,
-        v_best=float(vs[i_best]),
-        n_worst=i_worst + 1,
-        v_worst=float(vs[i_worst]),
-    )
+    return FockOptimumReport(*_fock_extremes(phi, 1, FOCK_N_MAX))
 
 
 # --- figure-level scans ----------------------------------------------------
@@ -193,7 +239,7 @@ def dft_point_sources() -> list[tuple[str, SourceStats]]:
     ]
 
 
-def scan_g2_dft(grid) -> list[ScanResult]:
+def scan_g2_dft(grid: Sequence[float]) -> list[ScanResult]:
     """Visibility versus g2 on the balanced 3-port, g2 in [0, 1e6]: the
     classical curve sets g3 = g2^2, so g2 stops at sqrt(G_CAP).
 
@@ -201,21 +247,34 @@ def scan_g2_dft(grid) -> list[ScanResult]:
     limit (g3 = (2 - 3 sqrt(g2))^2), the two-port reference at R = 1/2,
     and one single-row result per marked source.
     """
-    grid = np.asarray(grid, dtype=float)
-    if (outside := grid[~((grid >= 0) & (grid <= math.sqrt(G_CAP)))]).size:  # NaN is outside
-        raise ValueError(f"g2 grid must be in [0, {math.sqrt(G_CAP):g}], got {outside[0]}")
-    gaussian_g3 = (2 - 3 * np.sqrt(grid)) ** 2
+    g2_max = math.sqrt(G_CAP)
+    for g2 in grid:
+        if not 0 <= g2 <= g2_max:  # NaN is outside
+            raise ValueError(f"g2 grid must be in [0, {g2_max:g}], got {g2}")
+
+    def curve(label: str, point_at: Callable[[float], VisibilityPoint]) -> ScanResult:
+        return ScanResult(label, [_row(g2, point_at(g2)) for g2 in grid])
+
     results = [
-        _curve("classical-bound", grid, visibility_of(coincidence_dft3, grid, grid * grid)),
-        _curve("gaussian-bound", grid, visibility_of(coincidence_dft3, grid, gaussian_g3)),
-        _curve("hom-reference", grid, visibility_of(coincidence_hom, 0.5, grid)),
+        curve("classical-bound", lambda g2: visibility_of(coincidence_dft3, g2, g2 * g2)),
+        curve("gaussian-bound", lambda g2: visibility_of(coincidence_dft3, g2, _gaussian_g3(g2))),
+        curve("hom-reference", lambda g2: visibility_of(coincidence_hom, 0.5, g2)),
     ]
     for label, stats in dft_point_sources():
-        results.append(_curve(label, stats.g2, visibility_of(coincidence_dft3, stats.g2, stats.g3)))
+        point = visibility_of(coincidence_dft3, stats.g2, stats.g3)
+        results.append(ScanResult(label, [_row(stats.g2, point)]))
     return results
 
 
-def scan_overlap(sources: Sequence[tuple[str, SourceStats]], grid) -> list[ScanResult]:
+def _gaussian_g3(g2: float) -> float:
+    """g3 of the pure-Gaussian limit, (2 - 3 sqrt(g2))^2."""
+    root = 2 - 3 * math.sqrt(g2)
+    return root * root
+
+
+def scan_overlap(
+    sources: Sequence[tuple[str, SourceStats]], grid: Sequence[float]
+) -> list[ScanResult]:
     """Visibility along the sequential mode-overlap path, xi in [0, 2].
 
     The visibility uses the xi-dependent coincidence against the fixed
@@ -224,19 +283,24 @@ def scan_overlap(sources: Sequence[tuple[str, SourceStats]], grid) -> list[ScanR
     """
     results = []
     for label, stats in sources:
-        p_dist = coincidence_dft3(stats.g2, stats.g3, indistinguishable=False)
-        point = visibility(coincidence_mismatch_n3(stats.g2, stats.g3, grid), p_dist)
-        results.append(_curve(label, grid, point))
+        g2, g3 = stats.g2, stats.g3
+        p_dist = coincidence_dft3(g2, g3, indistinguishable=False)
+        rows = [_row(xi, visibility(coincidence_mismatch_n3(g2, g3, xi), p_dist)) for xi in grid]
+        results.append(ScanResult(label, rows))
     return results
 
 
-def scan_phase(sources: Sequence[tuple[str, SourceStats]], grid) -> list[ScanResult]:
+def scan_phase(
+    sources: Sequence[tuple[str, SourceStats]], grid: Sequence[float]
+) -> list[ScanResult]:
     """Visibility and raw coincidence probabilities versus the
     symmetric-circuit phase."""
-    return [
-        _curve(label, grid, visibility_of(coincidence_sym_phase, grid, stats.g2, stats.g3))
-        for label, stats in sources
-    ]
+    results = []
+    for label, stats in sources:
+        g2, g3 = stats.g2, stats.g3
+        rows = [_row(phi, visibility_of(coincidence_sym_phase, phi, g2, g3)) for phi in grid]
+        results.append(ScanResult(label, rows))
+    return results
 
 
 def crossover_window() -> CrossoverReport:
@@ -250,19 +314,16 @@ def crossover_window() -> CrossoverReport:
     """
     anchor_phi = 0.471 * math.pi
     g2_fixed = maximize_classical(anchor_phi).g2_opt
-    ns = np.arange(3, 201, dtype=float)
-    phis = np.linspace(0.46 * math.pi, 0.505 * math.pi, 91)
-    v_laser = visibility_of(coincidence_sym_phase, phis, 1.0, 1.0).v
-    fock_vs = _fock_visibility(phis[:, None], ns)  # one row per phase
-    fock_margin = fock_vs.max(axis=1) - v_laser
-    noise_margin = _noise_visibility(phis, g2_fixed) - v_laser
-    n_best = ns[fock_vs.argmax(axis=1)].astype(int)
-    rows = [
-        {"phi": phi, "fock_margin": fm, "noise_margin": nm, "n_best": n}
-        for phi, fm, nm, n in zip(*(x.tolist() for x in (phis, fock_margin, noise_margin, n_best)))
-    ]
-    in_window = phis[(fock_margin > 0) & (noise_margin > 0)].tolist()
+    rows = []
+    for phi in linear_grid(0.46 * math.pi, 0.505 * math.pi, 91):
+        v_laser = visibility_of(coincidence_sym_phase, phi, 1.0, 1.0).v
+        n_best, v_fock, _, _ = _fock_extremes(phi, 3, 200)
+        rows.append({
+            "phi": phi,
+            "fock_margin": v_fock - v_laser,
+            "noise_margin": _noise_visibility(phi, g2_fixed) - v_laser,
+            "n_best": n_best,
+        })
+    in_window = [row["phi"] for row in rows if row["fock_margin"] > 0 and row["noise_margin"] > 0]
     window = (min(in_window), max(in_window)) if in_window else None
-    return CrossoverReport(
-        anchor_phi=anchor_phi, g2_fixed=float(g2_fixed), rows=rows, window=window
-    )
+    return CrossoverReport(anchor_phi=anchor_phi, g2_fixed=g2_fixed, rows=rows, window=window)

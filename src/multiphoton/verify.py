@@ -104,14 +104,16 @@ def _checks(rng: np.random.Generator):
         return worst < 1e-12, f"max relative gap {worst:.2e}"
 
     def mismatch_joint_and_endpoints():
-        g2, g3 = np.meshgrid(np.linspace(0, 4, 5), np.linspace(0, 9, 5))
-        mismatch = functools.partial(coincidence.coincidence_mismatch_n3, g2, g3)
-        gaps = [
-            mismatch(1.0) - mismatch(1.0 + 1e-15),
-            mismatch(0.0) - coincidence.coincidence_dft3(g2, g3, False),
-            mismatch(2.0) - coincidence.coincidence_dft3(g2, g3, True),
-        ]
-        worst = float(np.abs(gaps).max())
+        worst = 0.0
+        for g2 in (0.0, 1.0, 2.0, 3.0, 4.0):
+            for g3 in (0.0, 2.25, 4.5, 6.75, 9.0):
+                mismatch = functools.partial(coincidence.coincidence_mismatch_n3, g2, g3)
+                worst = max(
+                    worst,
+                    abs(mismatch(1.0) - mismatch(1.0 + 1e-15)),
+                    abs(mismatch(0.0) - coincidence.coincidence_dft3(g2, g3, False)),
+                    abs(mismatch(2.0) - coincidence.coincidence_dft3(g2, g3, True)),
+                )
         return worst < 1e-12, f"max gap {worst:.2e}"
 
     def symmetric_matches_balanced():
@@ -146,14 +148,14 @@ def _checks(rng: np.random.Generator):
     def thermal_phase_invariance():
         values = [
             coincidence.coincidence_sym_phase(phi, 2.0, 6.0, True)
-            for phi in np.linspace(0, 2 * math.pi, 101)
+            for phi in optimize.linear_grid(0, 2 * math.pi, 101)
         ]
         spread = max(values) - min(values)
         return spread < 1e-12, f"spread {spread:.2e}"
 
     def scan_self_consistency():
         worst = 0.0
-        for result in optimize.scan_overlap(optimize.standard_sources(), np.linspace(0, 2, 51)):
+        for result in optimize.scan_overlap(optimize.standard_sources(), optimize.linear_grid(0, 2, 51)):
             for _, p_id, p_dist, v in result.rows:
                 worst = max(worst, abs(v - (1 - p_id / p_dist)))
         return worst < 1e-12, f"max gap {worst:.2e}"

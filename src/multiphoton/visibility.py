@@ -12,50 +12,42 @@ at each family's g (see multiphoton.optimize).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
-
-import numpy as np
 
 EPS_DENOMINATOR = 1e-12
 
 
 @dataclass(frozen=True)
 class VisibilityPoint:
-    """A visibility together with the probabilities it was formed from:
-    floats, or arrays of one broadcast shape."""
+    """A visibility together with the probabilities it was formed from."""
 
-    v: float | np.ndarray
-    p_id: float | np.ndarray
-    p_dist: float | np.ndarray
+    v: float
+    p_id: float
+    p_dist: float
 
 
-def visibility(p_id, p_dist) -> VisibilityPoint:
-    """V = 1 - p_id / p_dist: floats for floats, else arrays of the
-    broadcast shape.  Raises when a denominator is NaN, infinite or
-    <= EPS_DENOMINATOR (every valid configuration here has p_dist of order
-    1), or when a numerator is NaN or infinite."""
-    if isinstance(p_id, (float, int)) and isinstance(p_dist, (float, int)):
-        worst_id, worst = p_id, p_dist
-    else:
-        p_id, p_dist = np.broadcast_arrays(np.asarray(p_id, float), np.asarray(p_dist, float))
-        # Each check reads the smallest entry if it fails (NaN does), else the largest.
-        low = float(p_id.min())
-        worst_id = low if not math.isfinite(low) else float(p_id.max())
-        low = float(p_dist.min())
-        worst = low if not low > EPS_DENOMINATOR else float(p_dist.max())
-    if not EPS_DENOMINATOR < worst < math.inf:
+def visibility(p_id: float, p_dist: float) -> VisibilityPoint:
+    """V = 1 - p_id / p_dist of two real numbers.  Raises when the
+    denominator is NaN, infinite or <= EPS_DENOMINATOR (every valid
+    configuration here has p_dist of order 1), when the numerator is NaN or
+    infinite, and when either is no number (an array included)."""
+    if type(p_id) is not float or type(p_dist) is not float:
+        for name, p in (("p_id", p_id), ("p_dist", p_dist)):
+            if not isinstance(p, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {type(p).__name__}")
+    if not EPS_DENOMINATOR < p_dist < math.inf:
         raise ValueError(
-            f"degenerate distinguishable probability {worst!r}; cannot form a visibility"
+            f"degenerate distinguishable probability {p_dist!r}; cannot form a visibility"
         )
-    if not math.isfinite(worst_id):
-        raise ValueError(f"p_id must be finite, got {worst_id!r}; cannot form a visibility")
+    if not math.isfinite(p_id):
+        raise ValueError(f"p_id must be finite, got {p_id!r}; cannot form a visibility")
     return VisibilityPoint(v=1 - p_id / p_dist, p_id=p_id, p_dist=p_dist)
 
 
-def visibility_of(closed_form: Callable, *args) -> VisibilityPoint:
+def visibility_of(closed_form: Callable[..., float], *args) -> VisibilityPoint:
     """visibility() of a closed form (one that takes ``indistinguishable``)
-    at the same arguments; broadcasts like the closed form."""
+    at the same arguments."""
     p_id = closed_form(*args, indistinguishable=True)
     return visibility(p_id, closed_form(*args, indistinguishable=False))
-

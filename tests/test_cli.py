@@ -43,6 +43,21 @@ def test_parse_grid_inclusive_endpoints():
     np.testing.assert_allclose(grid, [0, 0.5, 1.0, 1.5, 2.0])
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "0:6:301",
+        "0:2:201",
+        "0:6.283185307179586:401",
+        f"{0.46 * math.pi!r}:{0.505 * math.pi!r}:91",  # crossover_window's phases
+        "0:6.283185307179586:9",
+    ],
+)
+def test_parse_grid_is_numpys_linspace(spec):
+    lo, hi, count = spec.split(":")
+    assert parse_grid_spec(spec) == np.linspace(float(lo), float(hi), int(count)).tolist()
+
+
 @pytest.mark.parametrize("bad", ["0:2", "a:b:c", "0:2:1", "2:0:5"])
 def test_parse_grid_rejects_malformed(bad):
     with pytest.raises(UsageError):

@@ -4,7 +4,6 @@ import math
 import re
 import sys
 import threading
-from functools import partial
 
 import numpy as np
 import pytest
@@ -161,14 +160,16 @@ def test_hom_perfect_suppression():
     "g2", [1e13, math.nan, np.array([1.0, 1e13]), np.array([0.5, math.nan])]
 )
 def test_hom_rejects_g2_above_the_source_cap_or_nan(g2):
+    # an array holding such a g2 is refused whole, as no number
     with pytest.raises(ValueError) as info:
         coincidence_hom(0.5, g2)
-    assert str(info.value) == f"g2 must be in [0, 1e+12], got {np.atleast_1d(g2)[-1]}"
+    shown = "a number, got ndarray" if isinstance(g2, np.ndarray) else f"in [0, 1e+12], got {g2}"
+    assert str(info.value) == f"g2 must be {shown}"
 
 
 def test_hom_names_the_most_negative_g2():
     with pytest.raises(ValueError, match=r"^g2 must be in \[0, 1e\+12\], got -0\.5$"):
-        coincidence_hom(0.5, np.array([1.0, -0.5, math.nan, -0.25, 2.0]))
+        coincidence_hom(0.5, -0.5)
 
 
 @pytest.mark.parametrize(
@@ -176,10 +177,10 @@ def test_hom_names_the_most_negative_g2():
     [
         (1.5, "1.5"),
         (math.nan, "nan"),
-        (np.array([0.2, 1.0, -0.25, 0.5]), "-0.25"),
-        (np.array([0.2, math.nan]), "nan"),
+        (-0.25, "-0.25"),
+        (math.inf, "inf"),
         (0.5 + 0.5j, "(0.5+0.5j)"),
-        (np.array([0.5, 0.5j]), "(0.5+0j)"),  # no entry of a complex array is real
+        (1 + 2**-52, "1.0000000000000002"),
     ],
 )
 def test_hom_names_a_reflectance_outside_the_unit_interval(r, shown):
@@ -328,7 +329,7 @@ def test_mismatch_thermal_joint_value():
 
 
 def test_mismatch_rejects_out_of_range():
-    for xi in (2.5, np.array([0.5, 2.5]), np.array([0.5, np.nan])):
+    for xi in (2.5, -0.5, math.nan, np.array([0.5, 2.5]), np.array([0.5, 1.0])):
         with pytest.raises(ValueError):
             coincidence_mismatch_n3(1.0, 1.0, xi)
 
@@ -376,7 +377,7 @@ def test_sym_phase_thermal_interference_cancels():
     assert max(values) - min(values) < 1e-12
 
 
-# --- closed forms over arrays --------------------------------------------------------
+# --- closed forms against their array formulas --------------------------------------
 
 G2S = np.array([0.0, 0.5, 1.0, 2.0, 6.0])
 G3S = np.array([0.0, 0.25, 1.0, 6.0, 90.0])
@@ -384,58 +385,96 @@ XIS = np.linspace(0.0, 2.0, 9)[:, None]
 PHIS = np.linspace(0.0, 2 * math.pi, 7)[:, None]
 
 
-def elementwise(closed_form, *args):
-    """The closed form called once per element, with float arguments."""
-    args = np.broadcast_arrays(*args)
-    out = np.empty(args[0].shape)
-    for index in np.ndindex(out.shape):
-        out[index] = closed_form(*(float(a[index]) for a in args))
-    return out
+def hom_array(r, g2, indistinguishable=True):
+    rt2 = 2 * r * (1 - r)
+    return 1 - rt2 * (2 - g2) if indistinguishable else 1 - rt2 * (1 - g2)
 
 
-# (closed form, array arguments, whether phi is an array)
+def dft3_array(g2, g3, indistinguishable=True):
+    return g3 / 9 + 1 / 3 if indistinguishable else g3 / 9 + 2 * g2 / 3 + 2 / 9
+
+
+def mismatch_array(g2, g3, xi):
+    xi = np.asarray(xi, dtype=float)
+    m = np.where(xi <= 1, xi, xi - 1)
+    return np.where(
+        xi <= 1,
+        g3 / 9 + 2 * (3 - m) * g2 / 9 + (2 - m) / 9,
+        g3 / 9 + 4 * (1 - m) * g2 / 9 + (1 + 2 * m) / 9,
+    )
+
+
+def sym_phase_array(phi, g2, g3, indistinguishable=True):
+    e = np.cos(phi) + 1j * np.sin(phi)
+    a, b = (2 + e) / 3, (-1 + e) / 3
+    aa, bb = np.abs(a) ** 2, np.abs(b) ** 2
+    third = 3 * aa * bb**2 * g3
+    if indistinguishable:
+        second = 6 * bb * np.abs(a**2 + a * b + b**2) ** 2 * g2
+        return third + second + np.abs(a**3 + 3 * a * b**2 + 2 * b**3) ** 2
+    second = 6 * bb * (aa**2 + aa * bb + bb**2) * g2
+    return third + second + aa**3 + 3 * aa * bb**2 + 2 * bb**3
+
+
+# The closed forms broadcast over numpy arrays until they took real numbers
+# only; these are the formulas they evaluated, written for arrays.
+ARRAY_FORMULAS = {
+    coincidence_hom: hom_array,
+    coincidence_dft3: dft3_array,
+    coincidence_mismatch_n3: mismatch_array,
+    coincidence_sym_phase: sym_phase_array,
+}
+
+# (closed form, arguments, keyword arguments)
 BROADCAST_CASES = {
-    "hom-id": (partial(coincidence_hom, 0.3, indistinguishable=True), (G2S,), False),
-    "hom-dist": (partial(coincidence_hom, 0.3, indistinguishable=False), (G2S,), False),
-    "hom-r": (partial(coincidence_hom, g2=1.5), (np.linspace(0.0, 1.0, 7)[:, None],), False),
-    "dft3-id": (partial(coincidence_dft3, indistinguishable=True), (G2S, G3S), False),
-    "dft3-dist": (partial(coincidence_dft3, indistinguishable=False), (G2S, G3S), False),
-    "mismatch-xi": (coincidence_mismatch_n3, (G2S, G3S, XIS), False),
-    "mismatch-scalar-xi": (partial(coincidence_mismatch_n3, xi=1.5), (G2S, G3S), False),
-    "sym-scalar-phi-id": (partial(coincidence_sym_phase, 0.7), (G2S, G3S), False),
-    "sym-scalar-phi-dist": (
-        partial(coincidence_sym_phase, 0.7, indistinguishable=False), (G2S, G3S), False
-    ),
-    "sym-phi-id": (coincidence_sym_phase, (PHIS, G2S, G3S), True),
-    "sym-phi-dist": (
-        partial(coincidence_sym_phase, indistinguishable=False), (PHIS, G2S, G3S), True
-    ),
+    "hom-id": (coincidence_hom, (0.3, G2S), {"indistinguishable": True}),
+    "hom-dist": (coincidence_hom, (0.3, G2S), {"indistinguishable": False}),
+    "hom-r": (coincidence_hom, (np.linspace(0.0, 1.0, 7)[:, None], 1.5), {}),
+    "dft3-id": (coincidence_dft3, (G2S, G3S), {"indistinguishable": True}),
+    "dft3-dist": (coincidence_dft3, (G2S, G3S), {"indistinguishable": False}),
+    "mismatch-xi": (coincidence_mismatch_n3, (G2S, G3S, XIS), {}),
+    "mismatch-scalar-xi": (coincidence_mismatch_n3, (G2S, G3S, 1.5), {}),
+    "sym-scalar-phi-id": (coincidence_sym_phase, (0.7, G2S, G3S), {}),
+    "sym-scalar-phi-dist": (coincidence_sym_phase, (0.7, G2S, G3S), {"indistinguishable": False}),
+    "sym-phi-id": (coincidence_sym_phase, (PHIS, G2S, G3S), {}),
+    "sym-phi-dist": (coincidence_sym_phase, (PHIS, G2S, G3S), {"indistinguishable": False}),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BROADCAST_CASES))
 def test_closed_forms_broadcast_like_elementwise_calls(case):
-    closed_form, args, phi_is_array = BROADCAST_CASES[case]
-    result = closed_form(*args)
-    expected = elementwise(closed_form, *args)
-    assert np.shape(result) == expected.shape
-    if phi_is_array:  # numpy's cos and complex powers may round differently
-        np.testing.assert_allclose(result, expected, rtol=1e-14, atol=1e-14)
-    else:  # a scalar phi keeps Python's float arithmetic: the same bits
-        np.testing.assert_array_equal(result, expected)
+    """A scan calls a closed form once per grid point, with floats.  Over
+    each case's broadcast grid that gives the bits of the array formula,
+    except with an array phi: numpy's complex division multiplies by 1/3,
+    so the symmetric form may move in the last bits there."""
+    closed_form, args, kwargs = BROADCAST_CASES[case]
+    expected = ARRAY_FORMULAS[closed_form](*args, **kwargs)
+    args = np.broadcast_arrays(*args)
+    assert expected.shape == args[0].shape
+    for index in np.ndindex(expected.shape):
+        got = closed_form(*(a[index].item() for a in args), **kwargs)
+        assert type(got) is float
+        if args[0].ndim and closed_form is coincidence_sym_phase:  # an array phi
+            assert got == pytest.approx(expected[index], rel=1e-14, abs=1e-14)
+        else:
+            assert got == expected[index]
 
 
-def test_float_or_int_arguments_skip_numpy(monkeypatch):
-    calls = [
-        (coincidence_hom, (0.5, 1)),
-        (coincidence_dft3, (2, 6)),
-        (coincidence_sym_phase, (0.5, 1, 1)),
-    ]
-    expected = [form(*(float(x) for x in args)) for form, args in calls]
-    monkeypatch.setattr(coincidence, "np", None)
-    for (form, args), value in zip(calls, expected):
-        assert form(*args) == value
-        assert form(*(float(x) for x in args)) == value
+def test_float_or_int_arguments_skip_numpy(fresh_python):
+    """In a fresh interpreter, closed forms and visibilities of floats and
+    ints run without importing numpy."""
+    fresh_python(
+        "import sys\n"
+        "from multiphoton.coincidence import coincidence_dft3, coincidence_hom, "
+        "coincidence_mismatch_n3, coincidence_sym_phase\n"
+        "from multiphoton.visibility import visibility, visibility_of\n"
+        "for form, args in [(coincidence_hom, (0.5, 1)), (coincidence_dft3, (2, 6)),\n"
+        "                   (coincidence_sym_phase, (0.5, 1, 1))]:\n"
+        "    assert form(*args) == form(*map(float, args))\n"
+        "    visibility_of(form, *args)\n"
+        "visibility(coincidence_mismatch_n3(2, 6, 1), 1.0)\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
 
 
 def test_closed_forms_of_floats_are_floats():
@@ -449,27 +488,43 @@ def test_closed_forms_of_floats_are_floats():
     [
         (
             lambda: coincidence_hom(0.5, np.array([1.0, -0.1])),
-            "g2 must be in [0, 1e+12], got -0.1",
+            "g2 must be a number, got ndarray",
         ),
         (
-            lambda: coincidence_dft3(G2S, np.array([1.0, 1.0, -1.0, 1.0, 1.0])),
-            "g3 must be in [0, 1e+12], got -1.0",
+            lambda: coincidence_dft3(1.0, np.array([1.0, 1.0, -1.0, 1.0, 1.0])),
+            "g3 must be a number, got ndarray",
         ),
-        (lambda: coincidence_sym_phase(PHIS, -G2S - 1, G3S), "g2 must be in [0, 1e+12], got -1.0"),
-        (lambda: coincidence_mismatch_n3(-G2S, G3S, 1.0), "g2 must be in [0, 1e+12], got -0.5"),
+        (lambda: coincidence_sym_phase(0.7, -G2S - 1, 1.0), "g2 must be a number, got ndarray"),
+        (lambda: coincidence_mismatch_n3(1.0, 1.0, -XIS), "xi must be a number, got ndarray"),
     ],
     ids=[f"<lambda>{i}" for i in range(4)],
 )
 def test_closed_forms_reject_any_negative_array_entry(call, message):
+    # an array is no number: it is refused whole, not entry by entry
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: coincidence_hom(True, 1.0), "reflectance must be in [0, 1]"),
+        (lambda: coincidence_dft3(True, True), "g2 must be in [0, 1e+12]"),
+        (lambda: coincidence_sym_phase(True, 1.0, 1.0), "phi must be real"),
+    ],
+    ids=["hom", "dft3", "sym_phase"],
+)
+def test_closed_forms_refuse_a_bool(call, name):
+    with pytest.raises(ValueError, match=f"^{re.escape(name)}, got True$"):
         call()
 
 
 def domain_cases():
     """Each g argument of each closed form set to NaN, 2e12 or 1+1j, as a
-    float and inside an array, then the (g2, g3 = g2^2) pairs with g3 past
-    the cap that test_closed_form_visibilities_match_their_ratio_forms
-    skips.  Each case ends with the entry the message names."""
+    float and inside an array (refused whole, as no number), then the
+    (g2, g3 = g2^2) pairs with g3 past the cap that
+    test_closed_form_visibilities_match_their_ratio_forms skips.  Each case
+    ends with the message's tail after the argument's name."""
     valid = [
         (coincidence_hom, {"r": 0.5, "g2": 1.0}),
         (coincidence_dft3, {"g2": 1.0, "g3": 1.0}),
@@ -479,27 +534,28 @@ def domain_cases():
     for form, args in valid:
         for name in (key for key in args if key[0] == "g"):
             for bad in (math.nan, 2e12, 1 + 1j):
-                array = np.array([1.0, bad])
-                named = array[0] if array.dtype.kind == "c" else bad  # no complex entry is real
-                for kind, value, shown in (("float", bad, bad), ("array", array, named)):
-                    case = (form, {**args, name: value}, name, shown)
+                for kind, value, tail in (
+                    ("float", bad, f"in [0, 1e+12], got {bad}"),
+                    ("array", np.array([1.0, bad]), "a number, got ndarray"),
+                ):
+                    case = (form, {**args, name: value}, name, tail)
                     yield pytest.param(*case, id=f"{form.__name__}-{name}-{bad:g}-{kind}")
     for g2 in np.geomspace(1e-6, 1e9, 31):
         if g2 * g2 > 1e12:
-            case = (coincidence_dft3, {"g2": g2, "g3": g2 * g2}, "g3", g2 * g2)
+            case = (coincidence_dft3, {"g2": g2, "g3": g2 * g2}, "g3", f"in [0, 1e+12], got {g2 * g2}")
             yield pytest.param(*case, id=f"coincidence_dft3-g2={g2:.3g}-g3=g2^2")
 
 
-@pytest.mark.parametrize("closed_form, args, name, shown", list(domain_cases()))
-def test_closed_forms_reject_nan_or_g_past_the_cap(closed_form, args, name, shown):
+@pytest.mark.parametrize("closed_form, args, name, tail", list(domain_cases()))
+def test_closed_forms_reject_nan_or_g_past_the_cap(closed_form, args, name, tail):
     with pytest.raises(ValueError) as info:
         closed_form(**args)
-    assert str(info.value) == f"{name} must be in [0, 1e+12], got {shown}"
+    assert str(info.value) == f"{name} must be {tail}"
 
 
 @pytest.mark.parametrize(
     "xi, shown",
-    [(2.5, "2.5"), (math.nan, "nan"), (1 + 1j, "(1+1j)"), (np.array([0.0, -0.5, 3.0]), "-0.5")],
+    [(2.5, "2.5"), (math.nan, "nan"), (1 + 1j, "(1+1j)"), (-0.5, "-0.5")],
 )
 def test_mismatch_names_an_xi_outside_the_path(xi, shown):
     with pytest.raises(ValueError) as info:
@@ -510,26 +566,27 @@ def test_mismatch_names_an_xi_outside_the_path(xi, shown):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("kind", ["float", "array"])
 def test_sym_phase_rejects_non_finite_phi(bad, kind):
-    phi = bad if kind == "float" else np.array([0.7, bad, 1.0])
+    # an array is refused whole, as no number
+    phi, message = (bad, "finite") if kind == "float" else (np.array([0.7, bad]), "a number, got ndarray")
     for indistinguishable in (True, False):
-        with pytest.raises(ValueError, match=r"^phi must be finite$"):
+        with pytest.raises(ValueError, match=f"^phi must be {message}$"):
             coincidence_sym_phase(phi, 1.0, 1.0, indistinguishable)
 
 
 @pytest.mark.parametrize(
-    "phi, shown",
+    "phi, message",
     [
-        (1 + 1j, "(1+1j)"),
-        (np.complex128(0.5), "(0.5+0j)"),
-        ([0.7, 1 + 1j], "(0.7+0j)"),  # no entry of a complex array is real
+        (1 + 1j, "real, got (1+1j)"),
+        (np.complex128(0.5), "real, got (0.5+0j)"),
+        ([0.7, 1 + 1j], "a number, got list"),  # refused whole, as no number
     ],
     ids=["complex", "complex128", "array"],
 )
-def test_sym_phase_rejects_complex_phi(phi, shown):
+def test_sym_phase_rejects_complex_phi(phi, message):
     for indistinguishable in (True, False):
         with pytest.raises(ValueError) as info:
             coincidence_sym_phase(phi, 1.0, 1.0, indistinguishable)
-        assert str(info.value) == f"phi must be real, got {shown}"
+        assert str(info.value) == f"phi must be {message}"
 
 
 def test_permanent_cache_can_be_cleared():

@@ -60,7 +60,7 @@ def test_maximize_classical_rejects_complex_phi():
 
 def test_maximize_classical_refinement_stable(monkeypatch):
     coarse = maximize_classical(1.1)
-    monkeypatch.setattr(optimize, "COARSE_POINTS", 128)
+    monkeypatch.setattr(optimize, "COARSE_GRID", tuple(np.logspace(0, 4, 128).tolist()))
     fine = maximize_classical(1.1)
     assert fine.v_opt == pytest.approx(coarse.v_opt, abs=1e-9)
     assert fine.g2_opt == pytest.approx(coarse.g2_opt, abs=1e-5)
@@ -98,12 +98,64 @@ def test_fock_approaches_poissonian_at_any_phase():
 def test_fock_curve_matches_fock_stats(phi):
     # the optimizers' float Fock curve against fock_stats' exact ratios,
     # which differ in the last bit of g2 or g3 at 291 of these n
-    ns = np.arange(1, optimize.FOCK_N_MAX + 1)
-    curve = optimize._fock_visibility(phi, ns.astype(float))
-    for n, v in zip(ns.tolist(), curve.tolist()):
+    for n in range(1, optimize.FOCK_N_MAX + 1):
+        v = optimize._fock_visibility(phi, n)
         stats = sources.fock_stats(n)
         exact = visibility_of(coincidence.coincidence_sym_phase, phi, stats.g2, stats.g3).v
         assert v == pytest.approx(exact, rel=0, abs=1e-14)
+
+
+def fock_curve(phi, ns):
+    """The Fock curve over the float array ns in the float path's own
+    operations: the closed form's A g3 + B g2 + C, then 1 - p_id / p_dist."""
+    g2 = 1 - 1 / ns
+    g3 = g2 * (1 - 2 / ns)
+    p_id, p_dist = (
+        a * g3 + b * g2 + c
+        for a, b, c in (coincidence._sym_phase_terms(phi, flag) for flag in (True, False))
+    )
+    return 1 - p_id / p_dist
+
+
+# The phases of the golden optimize files, the crossover phases, the sym grid
+# and 400 random ones.
+FOCK_PHASES = sorted(
+    {0.5078324153998789, math.pi / 2, 2 * math.pi / 3, math.pi, 0.6, 2.8}
+    | set(np.linspace(0, 2 * math.pi, 9).tolist())
+    | set(np.linspace(0.46 * math.pi, 0.505 * math.pi, 91).tolist())
+    | set(np.linspace(0, 2 * math.pi, 401).tolist())
+    | set(np.random.default_rng(32).uniform(0, 2 * math.pi, 400).tolist())
+)
+
+
+def test_fock_curve_of_the_exhaustive_scan_is_the_float_path():
+    ns = np.arange(1, optimize.FOCK_N_MAX + 1, dtype=float)
+    for phi in np.linspace(0, 2 * math.pi, 9).tolist():
+        expected = [optimize._fock_visibility(phi, n) for n in range(1, optimize.FOCK_N_MAX + 1)]
+        assert fock_curve(phi, ns).tolist() == expected
+
+
+def test_fock_extremes_match_an_exhaustive_scan():
+    """best_fock and crossover_window's search pick the n, and the V, that
+    a scan of every n picks.  Within about 0.004 rad of phi = 0 (mod 2 pi),
+    V ~ 1e-6 changes with n at large n by less than its rounding error, so
+    a scan's pick there is rounding noise (35 of 20,000 random phases); none
+    of FOCK_PHASES lies there but 0 and 2 pi, where every n ties."""
+    assert len(FOCK_PHASES) >= 800
+    ns = np.arange(1, optimize.FOCK_N_MAX + 1, dtype=float)
+    for phi in FOCK_PHASES:
+        vs = fock_curve(phi, ns)
+        best, worst = int(np.argmax(vs)), int(np.argmin(vs))
+        report = best_fock(phi)
+        assert (report.n_best, report.n_worst) == (best + 1, worst + 1), phi
+        assert (report.v_best, report.v_worst) == (vs[best], vs[worst]), phi
+        window = vs[2:200]  # n = 3..200, crossover_window's range
+        n_best, v_best, _, _ = optimize._fock_extremes(phi, 3, 200)
+        assert (n_best, v_best) == (int(np.argmax(window)) + 3, window.max()), phi
+
+
+def test_coarse_grid_is_numpys_logspace():
+    assert optimize.COARSE_GRID == tuple(np.logspace(0, 4, 64).tolist())
 
 
 # --- scans -------------------------------------------------------------------
