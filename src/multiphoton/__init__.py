@@ -4,41 +4,18 @@ Computes N-fold coincidence probabilities and interference visibilities
 for linear-optical circuits whose inputs are specified only through their
 mean photon number and normalized intensity autocorrelations g^(m).
 
-Importing the package loads ``sources``, ``coincidence`` and
-``visibility``, none of which imports numpy, so the closed forms and the
-CLI commands built on them start without it.  ``linalg``, ``circuits`` and
-``fockspace`` are registered in ``sys.modules`` at once but run on their
-first attribute access (``importlib.util.LazyLoader``), and the general
-engines import numpy when first called.  The package serves the public
-names of the lazy modules (``Circuit``, ``dft``, ``permanent``, ...) from
-a module ``__getattr__`` that reads them from their module on every
-access, so a function replaced there is the one the package hands out.
-Older CPythons' ``LazyLoader`` (3.11 among them) loads a module on its
-first touch without a lock, so two threads must not make the first touch
-of one lazy module at once.
+Importing the package loads ``sources``, ``coincidence``, ``visibility``,
+``linalg``, ``circuits`` and ``fockspace``, none of which imports numpy at
+module level: ``linalg``, ``circuits`` and ``coincidence`` import it inside
+the functions that build arrays, so the closed forms and the CLI commands
+built on them start without it.  Only the cross-checks use ``fockspace``;
+it is imported here because the benchmark's tracer reads every layer module
+from ``sys.modules`` right after ``import multiphoton, multiphoton.cli``.
 """
 
-import importlib.util
-import sys
-
-
-def _lazy(name: str):
-    """The submodule ``name``, registered in ``sys.modules`` but executed on
-    first attribute access."""
-    fullname = f"{__name__}.{name}"
-    spec = importlib.util.find_spec(fullname)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[fullname] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-linalg = _lazy("linalg")
-circuits = _lazy("circuits")
-fockspace = _lazy("fockspace")
-
-from multiphoton.coincidence import (  # noqa: E402
+from multiphoton import circuits, fockspace, linalg
+from multiphoton.circuits import Circuit, beamsplitter, custom, dft, symmetric
+from multiphoton.coincidence import (
     CoincidenceResult,
     InputEnsemble,
     coincidence_dft3,
@@ -51,7 +28,8 @@ from multiphoton.coincidence import (  # noqa: E402
     enumerate_exponent_tuples,
     uniform_ensemble,
 )
-from multiphoton.sources import (  # noqa: E402
+from multiphoton.linalg import check_unitary, permanent, permanent_naive
+from multiphoton.sources import (
     SourceStats,
     custom_stats,
     diluted_laser_stats,
@@ -60,24 +38,11 @@ from multiphoton.sources import (  # noqa: E402
     thermal_stats,
     vac12_mixture_stats,
 )
-from multiphoton.visibility import VisibilityPoint, visibility, visibility_of  # noqa: E402
+from multiphoton.visibility import VisibilityPoint, visibility, visibility_of
 
 __version__ = "0.1.0"
 
 HAVE_COMPILED_KERNEL = False  # no compiled kernel; the benchmark records this
-
-_LAZY_NAMES = {
-    **dict.fromkeys(("Circuit", "beamsplitter", "custom", "dft", "symmetric"), circuits),
-    **dict.fromkeys(("check_unitary", "permanent", "permanent_naive"), linalg),
-}
-
-
-def __getattr__(name: str):
-    module = _LAZY_NAMES.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(module, name)
-
 
 __all__ = [
     "Circuit",

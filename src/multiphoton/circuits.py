@@ -11,10 +11,12 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+from multiphoton import coincidence, linalg
 
-from multiphoton import linalg
+if TYPE_CHECKING:
+    import numpy as np
 
 CUSTOM_TOL = 1e-9
 
@@ -52,6 +54,8 @@ def dft(n: int) -> Circuit:
         n = int(n)
     if n < 2:
         raise ValueError(f"DFT needs at least 2 ports, got {n}")
+    import numpy as np
+
     idx = np.arange(n)
     u = np.exp(2j * np.pi * np.outer(idx, idx) / n) / np.sqrt(n)
     return _finish(u, "dft", linalg.UNITARY_TOL)
@@ -63,12 +67,13 @@ def symmetric(phi: float) -> Circuit:
     Diagonal alpha = (2 + e^{i phi})/3 and off-diagonal
     beta = (-1 + e^{i phi})/3.  phi = 0 is the identity; phi = 2*pi/3 and
     4*pi/3 are balanced (|alpha| = |beta| = 1/sqrt(3)).  phi is wrapped to
-    [0, 2*pi) before the matrix is built, so it must be finite.
+    [0, 2*pi) before the matrix is built, so it must be real and finite,
+    as coincidence_sym_phase requires.
     """
-    phi = float(phi)
-    if not math.isfinite(phi):
-        raise ValueError("phi must be finite")
-    phi %= 2 * math.pi
+    coincidence._check_phase(phi)
+    import numpy as np
+
+    phi = float(phi) % (2 * math.pi)
     e = complex(math.cos(phi), math.sin(phi))
     alpha = (2 + e) / 3
     beta = (-1 + e) / 3
@@ -83,8 +88,9 @@ def beamsplitter(r: float) -> Circuit:
     Realized as [[sqrt(T), i sqrt(R)], [i sqrt(R), sqrt(T)]]; the i on the
     cross terms is a phase convention and no observable here depends on it.
     """
-    if not 0 <= r <= 1:
-        raise ValueError(f"reflectance must be in [0, 1], got {r}")
+    coincidence._check_interval("reflectance", r, 1)
+    import numpy as np
+
     t = 1.0 - r
     u = np.array(
         [[math.sqrt(t), 1j * math.sqrt(r)], [1j * math.sqrt(r), math.sqrt(t)]],
@@ -98,4 +104,6 @@ def custom(matrix) -> Circuit:
     appropriate for matrices that went through decimal serialization)."""
     # One C-ordered complex128 copy, which check_unitary's conversion passes
     # through unchanged; _finish freezes the copy, never the caller's array.
+    import numpy as np
+
     return _finish(np.array(matrix, dtype=np.complex128, order="C"), "custom", CUSTOM_TOL)

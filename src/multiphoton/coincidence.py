@@ -343,7 +343,8 @@ def coincidence_n3_explicit(
 # Each closed form takes real numbers and gives a float for floats; it makes
 # the same IEEE operations whichever caller it serves, so a scan is a loop of
 # calls.  Each checks its g, R and xi with _check_interval, and so rejects a
-# g outside [0, G_CAP] as SourceStats does.
+# g outside [0, G_CAP] as SourceStats does, and its phi with _check_phase;
+# circuits.beamsplitter and circuits.symmetric check R and phi the same way.
 
 def _real(name: str, x) -> bool:
     """Whether x is a real number (np.float64 is a float; a bool counts as
@@ -361,6 +362,14 @@ def _check_interval(name: str, x, hi: float) -> None:
     if (type(x) is float or type(x) is int or _real(name, x)) and 0 <= x <= hi:
         return
     raise ValueError(f"{name} must be in [0, {hi:g}], got {x}")
+
+
+def _check_phase(phi) -> None:
+    """Reject phi unless it is a finite real number (a bool counts as none)."""
+    if not (type(phi) is float or type(phi) is int or _real("phi", phi)):
+        raise ValueError(f"phi must be real, got {phi}")
+    if not math.isfinite(phi):
+        raise ValueError("phi must be finite")
 
 
 def coincidence_hom(r: float, g2: float, indistinguishable: bool = True) -> float:
@@ -427,10 +436,7 @@ def coincidence_sym_phase(
     """
     _check_interval("g2", g2, G_CAP)
     _check_interval("g3", g3, G_CAP)
-    if not (type(phi) is float or type(phi) is int or _real("phi", phi)):
-        raise ValueError(f"phi must be real, got {phi}")
-    if not math.isfinite(phi):
-        raise ValueError("phi must be finite")
+    _check_phase(phi)
     a, b, c = _sym_phase_terms(phi, indistinguishable)
     return a * g3 + b * g2 + c
 

@@ -9,8 +9,10 @@ and direct use.
 from __future__ import annotations
 
 import itertools
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 PERMANENT_MAX_DIM = 24
 NAIVE_MAX_DIM = 9
@@ -22,6 +24,8 @@ _INNER_COLUMNS = 10
 def as_complex_matrix(entries) -> np.ndarray:
     """Coerce to a C-contiguous complex128 matrix, rejecting non-finite
     entries and anything that is not a 2-D array with positive shape."""
+    import numpy as np
+
     m = np.ascontiguousarray(entries, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
@@ -38,6 +42,8 @@ def _require_square(m: np.ndarray) -> None:
 def _signed_column_sums(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """sum_j delta_j cols[:, j] for every delta in {+1, -1}^k, as the
     columns of an (n, 2^k) array, and prod_j delta_j for each column."""
+    import numpy as np
+
     sums = np.zeros((cols.shape[0], 1), dtype=np.complex128)
     signs = np.ones(1)
     for col in cols.T:
@@ -76,6 +82,8 @@ def permanent(matrix) -> complex:
       n = 15..16; asserted at 1e-13 for three matrices at each n = 9..14;
     * Per(J_n) = n! exactly for the all-ones J_n up to n = 12.
     """
+    import numpy as np
+
     m = as_complex_matrix(matrix)
     _require_square(m)
     n = m.shape[0]
@@ -118,6 +126,8 @@ def permanent_naive(matrix) -> complex:
 
 def check_unitary(matrix, tol: float = UNITARY_TOL) -> tuple[bool, float]:
     """(max |U†U - I| <= tol, max |U†U - I|): the deviation either way."""
+    import numpy as np
+
     m = as_complex_matrix(matrix)
     _require_square(m)
     dev = np.abs(m.conj().T @ m - np.eye(m.shape[0])).max()

@@ -95,6 +95,33 @@ def test_beamsplitter_rejects_bad_reflectance():
         circuits.beamsplitter(1.1)
 
 
+# The constructor and the closed form that take the same R or phi.
+R_OR_PHI = {
+    "R": (circuits.beamsplitter, lambda r: coincidence.coincidence_hom(r, 1.0)),
+    "phi": (circuits.symmetric, lambda phi: coincidence.coincidence_sym_phase(phi, 1.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, arg, message",
+    [
+        ("R", True, "reflectance must be in [0, 1], got True"),
+        ("R", 0.5 + 0j, "reflectance must be in [0, 1], got (0.5+0j)"),
+        ("R", math.inf, "reflectance must be in [0, 1], got inf"),
+        ("R", "0.5", "reflectance must be a number, got str"),
+        ("phi", True, "phi must be real, got True"),
+        ("phi", 1j, "phi must be real, got 1j"),
+        ("phi", "1.0", "phi must be a number, got str"),
+        ("phi", -math.inf, "phi must be finite"),
+    ],
+)
+def test_constructors_check_r_and_phi_as_the_closed_forms_do(kind, arg, message):
+    for call in R_OR_PHI[kind]:
+        with pytest.raises(ValueError) as info:
+            call(arg)
+        assert str(info.value) == message
+
+
 @pytest.mark.parametrize("n", [2.5, 3.0, "3"])
 def test_dft_refuses_a_non_integral_port_count(n):
     with pytest.raises(ValueError, match=f"^DFT port count must be an integer, got {n!r}$"):

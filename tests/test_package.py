@@ -54,8 +54,8 @@ def test_closed_form_commands_never_import_numpy(fresh_python):
 def test_import_registers_every_layer_module(fresh_python):
     """The benchmark's tracer reads its layers from sys.modules right after
     ``import multiphoton, multiphoton.cli``, and wraps the public functions
-    that ``vars()`` of each lists: the lazy modules must be there, and load
-    when read."""
+    that ``vars()`` of each lists: ``import multiphoton`` must import every
+    one of them that ``cli`` does not."""
     bench = Path(__file__).parents[1] / "coincbench"
     out = fresh_python(
         "import inspect, sys\n"
@@ -76,14 +76,56 @@ def test_import_registers_every_layer_module(fresh_python):
     assert all(public.values()), public
 
 
-def test_package_reads_lazy_names_from_their_module_each_time(monkeypatch):
-    assert multiphoton.custom is multiphoton.circuits.custom
-    assert multiphoton.permanent is multiphoton.linalg.permanent
-    original = multiphoton.circuits.custom
-    monkeypatch.setattr(multiphoton.circuits, "custom", print)
-    assert multiphoton.custom is print
-    monkeypatch.undo()
-    assert multiphoton.custom is original
-    assert "custom" not in vars(multiphoton)
+def test_concurrent_first_use_of_the_engine_modules(fresh_python):
+    """Eight threads make the first calls into ``circuits``, ``linalg`` and
+    ``fockspace`` at once, right after ``import multiphoton``."""
+    fresh_python(
+        "import sys, threading\n"
+        "import multiphoton\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "barrier = threading.Barrier(8, timeout=60)\n"
+        "errors = []\n"
+        "def first_use():\n"
+        "    barrier.wait()\n"
+        "    try:\n"
+        "        multiphoton.dft(3)\n"
+        "        multiphoton.permanent([[1.0]])\n"
+        "        multiphoton.fockspace.oracle_coincidence\n"
+        "    except Exception as exc:\n"
+        "        errors.append(repr(exc))\n"
+        "threads = [threading.Thread(target=first_use) for _ in range(8)]\n"
+        "for thread in threads:\n"
+        "    thread.start()\n"
+        "for thread in threads:\n"
+        "    thread.join(timeout=60)\n"
+        "    assert not thread.is_alive()\n"
+        "assert not errors, errors\n"
+    )
+
+
+def test_tracer_restores_every_package_binding(fresh_python):
+    """The benchmark's tracer wraps the package's re-exports and the names
+    ``cli`` and ``optimize`` import, and puts the originals back."""
+    bench = Path(__file__).parents[1] / "coincbench"
+    fresh_python(
+        "import inspect, sys\n"
+        "import multiphoton, multiphoton.cli\n"
+        f"sys.path.insert(0, {str(bench)!r})\n"
+        "from spans import Tracer\n"
+        "mp = multiphoton\n"
+        "assert mp.custom is mp.circuits.custom\n"
+        "bound = {(module.__name__, name): value for module in (mp, mp.cli, mp.optimize)\n"
+        "         for name, value in vars(module).items()\n"
+        "         if (module is mp and name in mp.__all__)\n"
+        "         or (inspect.isfunction(value) and value.__module__ != module.__name__)}\n"
+        "tracer = Tracer()\n"
+        "tracer.install()\n"
+        "assert mp.custom.__wrapped__ is bound['multiphoton', 'custom']\n"
+        "mp.coincidence_id_general(mp.dft(3), mp.uniform_ensemble(3, mp.thermal_stats()))\n"
+        "tracer.uninstall()\n"
+        "assert 'coincidence.coincidence_id_general' in {span[0] for span in tracer.spans}\n"
+        "changed = [key for key, value in bound.items() if getattr(sys.modules[key[0]], key[1]) is not value]\n"
+        "assert not changed, changed\n"
+    )
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         multiphoton.no_such_name
