@@ -23,7 +23,6 @@ from multiphoton.coincidence import (
     coincidence_hom,
     coincidence_id_general,
     coincidence_mismatch_n3,
-    coincidence_n3_explicit,
     coincidence_sym_phase,
     enumerate_exponent_tuples,
     uniform_ensemble,
@@ -57,7 +56,6 @@ __all__ = [
     "coincidence_hom",
     "coincidence_id_general",
     "coincidence_mismatch_n3",
-    "coincidence_n3_explicit",
     "coincidence_sym_phase",
     "custom",
     "custom_stats",

@@ -40,8 +40,7 @@ Besides the general engines this module carries independent closed forms.
 The two-port beamsplitter case, the balanced 3-port (DFT) case, the
 phase-controlled symmetric 3-port and the sequential mode-mismatch path
 drive every figure scan and optimizer in ``optimize`` and are checked
-against the engines; the explicit 3-port expansion with per-port
-statistics serves only to cross-check the engines.
+against the engines.
 """
 
 from __future__ import annotations
@@ -263,80 +262,6 @@ def _general(circuit: Circuit, ensemble: InputEnsemble, which: int) -> Coinciden
     _check_ports(circuit, ensemble)
     weights = _weights(circuit)[which]
     return _as_result(_pattern_sum(ensemble.stats, weights), ensemble)
-
-
-# --- explicit 3-port expansion ---------------------------------------------
-
-def coincidence_n3_explicit(
-    circuit: Circuit, ensemble: InputEnsemble, indistinguishable: bool = True
-) -> CoincidenceResult:
-    """Three-fold coincidence written out term by term.
-
-    Independent transcription of the 3-port sum with per-port means and
-    statistics: three third-order terms (all photons from one port), nine
-    second-order terms (two from one port, one from another), and the
-    full-permanent term.  Deliberately avoids the generic permanent
-    machinery so the two code paths can cross-check each other.
-    """
-    if circuit.n != 3:
-        raise ValueError(f"explicit expansion is 3-port only, got {circuit.n}")
-    _check_ports(circuit, ensemble)
-
-    st = ensemble.stats
-    n1, n2, n3 = (s.mean_n for s in st)
-
-    if indistinguishable:
-        w = circuit.u
-
-        def weight(amplitude):
-            return abs(amplitude) ** 2
-    else:
-        import numpy as np
-
-        w = np.abs(circuit.u) ** 2
-
-        def weight(value):
-            return float(value)
-
-    def col3(a):
-        # all three detections fed from column a
-        return w[0, a - 1] * w[1, a - 1] * w[2, a - 1]
-
-    def pair(a, b):
-        # two photons from column a, one from column b
-        return (
-            w[0, a - 1] * w[1, a - 1] * w[2, b - 1]
-            + w[0, a - 1] * w[1, b - 1] * w[2, a - 1]
-            + w[0, b - 1] * w[1, a - 1] * w[2, a - 1]
-        )
-
-    def full():
-        # one photon from each column, all 6 routings
-        return (
-            w[0, 0] * w[1, 1] * w[2, 2]
-            + w[0, 0] * w[1, 2] * w[2, 1]
-            + w[0, 1] * w[1, 0] * w[2, 2]
-            + w[0, 1] * w[1, 2] * w[2, 0]
-            + w[0, 2] * w[1, 0] * w[2, 1]
-            + w[0, 2] * w[1, 1] * w[2, 0]
-        )
-
-    g2_1, g2_2, g2_3 = (s.g2 for s in st)
-    g3_1, g3_2, g3_3 = (s.g3 for s in st)
-
-    total = (
-        weight(col3(1)) * n1**3 * g3_1
-        + weight(col3(2)) * n2**3 * g3_2
-        + weight(col3(3)) * n3**3 * g3_3
-        + weight(pair(1, 2)) * n1**2 * n2 * g2_1
-        + weight(pair(1, 3)) * n1**2 * n3 * g2_1
-        + weight(pair(2, 1)) * n1 * n2**2 * g2_2
-        + weight(pair(2, 3)) * n2**2 * n3 * g2_2
-        + weight(pair(3, 1)) * n1 * n3**2 * g2_3
-        + weight(pair(3, 2)) * n2 * n3**2 * g2_3
-        + weight(full()) * n1 * n2 * n3
-    )
-    return _as_result(total, ensemble)
 
 
 # --- closed forms ----------------------------------------------------------

@@ -9,7 +9,8 @@ acts identically on every label, and a detector at port i counts the
 total across labels.
 
 Everything is deliberately slow and literal: dictionaries of amplitudes
-keyed by occupation tuples, no permanents anywhere.
+keyed by occupation tuples, no permanents anywhere.  ``verify`` and the
+tests call ``oracle_coincidence``.
 """
 
 from __future__ import annotations
@@ -183,33 +184,3 @@ def oracle_coincidence(
     mean_product = math.prod(means)
     p_norm = p_raw / mean_product if mean_product > 0 else math.nan
     return p_raw, p_norm
-
-
-def oracle_mismatch_single_photons(circuit: Circuit, xi: float) -> float:
-    """Normalized three-fold coincidence for single photons aligned
-    sequentially: the partially overlapping photon is split across two
-    orthogonal labels with amplitudes sqrt(M) and sqrt(1-M).
-
-    Covers the whole path xi in [0, 2] (single photons only; mixtures at
-    partial overlap are outside oracle scope).
-    """
-    if circuit.n != 3:
-        raise ValueError("sequential-overlap oracle is 3-port only")
-    if not 0 <= xi <= 2:
-        raise ValueError(f"overlap parameter must be in [0, 2], got {xi}")
-    if xi <= 1:
-        m = xi
-        photons = [
-            {(1, 1): 1.0 + 0j},
-            {(2, 2): 1.0 + 0j},
-            {(3, 2): complex(math.sqrt(m)), (3, 3): complex(math.sqrt(1 - m))},
-        ]
-    else:
-        m = xi - 1
-        photons = [
-            {(1, 1): 1.0 + 0j},
-            {(2, 1): 1.0 + 0j},
-            {(3, 1): complex(math.sqrt(m)), (3, 2): complex(math.sqrt(1 - m))},
-        ]
-    state = _apply_photons(circuit, photons)
-    return _coincidence_expectation(state)  # means are all 1

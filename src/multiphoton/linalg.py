@@ -1,9 +1,9 @@
 """Complex matrix utilities: permanents and unitarity checks.
 
 The permanent is evaluated by Glynn's formula in plain numpy, one kernel
-on every install.  The coincidence engines do not call it: their weight
-tables come from a polynomial expansion, so it serves the cross-checks
-and direct use.
+on every install.  The coincidence engines build their weights by a
+polynomial expansion; ``verify`` computes them from their definition
+through this kernel, a check from outside that build.
 """
 
 from __future__ import annotations

@@ -1,11 +1,14 @@
 """Internal consistency checks behind ``multiphoton verify``, each comparing
 two independent routes to the same numbers.  Every other layer is reached
 through its module attribute at call time, so a function patched there is
-the one that gets checked."""
+the one that gets checked.  Five checks hold the engines to a reference
+outside their weight table (``hom-engine-vs-closed-form``, ``balanced3-anchors``,
+``explicit3-vs-general``, ``symmetric-vs-balanced3``, ``oracle-vs-engines``)."""
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -45,6 +48,24 @@ def _engines(circuit, ens, field: str = "p_normalized") -> tuple[float, float]:
         getattr(coincidence.coincidence_id_general(circuit, ens), field),
         getattr(coincidence.coincidence_dist_general(circuit, ens), field),
     )
+
+
+def _definition_table(circuit) -> list[tuple[tuple[int, ...], float, float]]:
+    """(s, |c_U(s)|^2, Re c_V(s)) for every pattern s, c_M(s) = Per(M[:, d(s)])
+    / prod_j s_j! for M = U and |U|^2: the engines' weights by their
+    definition, sharing nothing with the table build."""
+    n, u = circuit.n, circuit.u
+    v = np.abs(u) ** 2
+    table = []
+    for s in itertools.product(range(n + 1), repeat=n):
+        if sum(s) != n:
+            continue
+        d = [j for j, count in enumerate(s) for _ in range(count)]
+        scale = math.prod(map(math.factorial, s))
+        c_u = linalg.permanent(u[:, d]) / scale
+        c_v = linalg.permanent(v[:, d]) / scale
+        table.append((s, abs(c_u) ** 2, c_v.real))
+    return table
 
 
 def _checks(rng: np.random.Generator):
@@ -91,6 +112,7 @@ def _checks(rng: np.random.Generator):
     def explicit_vs_general():
         worst = 0.0
         circuit = circuits.symmetric(0.7)
+        table = _definition_table(circuit)
         for _ in range(10):
             stats = tuple(
                 sources.custom_stats(float(rng.uniform(0, 4)), float(rng.uniform(0, 9)),
@@ -98,8 +120,11 @@ def _checks(rng: np.random.Generator):
                 for _ in range(3)
             )
             ens = coincidence.InputEnsemble(stats=stats)
-            for flag, b in zip((True, False), _engines(circuit, ens, "p_raw")):
-                a = coincidence.coincidence_n3_explicit(circuit, ens, flag).p_raw
+            products = [
+                math.prod(st.mean_n**k * st.g[k] for st, k in zip(stats, s)) for s, _, _ in table
+            ]
+            for column, b in zip((1, 2), _engines(circuit, ens, "p_raw")):
+                a = sum(row[column] * p for row, p in zip(table, products))
                 worst = max(worst, abs(a - b) / max(abs(b), 1e-30))
         return worst < 1e-12, f"max relative gap {worst:.2e}"
 
@@ -121,8 +146,8 @@ def _checks(rng: np.random.Generator):
         sym = circuits.symmetric(2 * math.pi / 3)
         for _, stats in optimize.standard_sources():
             ens = coincidence.uniform_ensemble(3, stats)
-            for a, b in zip(_engines(sym, ens), _engines(dft3(), ens)):
-                worst = max(worst, abs(a - b))
+            for flag, a in zip((True, False), _engines(sym, ens)):
+                worst = max(worst, abs(a - coincidence.coincidence_dft3(stats.g2, stats.g3, flag)))
         return worst < 1e-12, f"max gap {worst:.2e}"
 
     def oracle_vs_engines():

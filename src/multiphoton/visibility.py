@@ -32,10 +32,10 @@ def visibility(p_id: float, p_dist: float) -> VisibilityPoint:
     """V = 1 - p_id / p_dist of two real numbers.  Raises when the
     denominator is NaN, infinite or <= EPS_DENOMINATOR (every valid
     configuration here has p_dist of order 1), when the numerator is NaN or
-    infinite, and when either is no number (an array included)."""
+    infinite, and when either is no number (an array or a bool included)."""
     if type(p_id) is not float or type(p_dist) is not float:
         for name, p in (("p_id", p_id), ("p_dist", p_dist)):
-            if not isinstance(p, numbers.Real):
+            if not isinstance(p, numbers.Real) or isinstance(p, bool):
                 raise ValueError(f"{name} must be a number, got {type(p).__name__}")
     if not EPS_DENOMINATOR < p_dist < math.inf:
         raise ValueError(

@@ -21,6 +21,8 @@ from multiphoton.optimize import (
 )
 from multiphoton.visibility import visibility_of
 
+import references
+
 
 def report(criterion, ok, detail):
     print(f"[{criterion}] {'PASS' if ok else 'FAIL'} - {detail}")
@@ -138,7 +140,7 @@ def test_criterion_5_overlap_path():
     worst_oracle = 0.0
     circuit = circuits.dft(3)
     for xi in (0.0, 1.0, 2.0):
-        oracle = fockspace.oracle_mismatch_single_photons(circuit, xi)
+        oracle = references.oracle_mismatch_single_photons(circuit, xi)
         engine = coincidence.coincidence_mismatch_n3(0.0, 0.0, xi)
         worst_oracle = max(worst_oracle, abs(oracle - engine))
 

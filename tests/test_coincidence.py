@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multiphoton import circuits, coincidence, sources
+from multiphoton import circuits, coincidence, sources, verify
 from multiphoton.coincidence import (
     MAX_PORTS,
     InputEnsemble,
@@ -19,11 +19,12 @@ from multiphoton.coincidence import (
     coincidence_hom,
     coincidence_id_general,
     coincidence_mismatch_n3,
-    coincidence_n3_explicit,
     coincidence_sym_phase,
     enumerate_exponent_tuples,
     uniform_ensemble,
 )
+
+from references import coincidence_n3_explicit
 
 
 def test_exponent_tuples_two_ports():
@@ -208,10 +209,45 @@ def test_explicit_matches_general_asymmetric(seed, phi):
         for _ in range(3)
     )
     ens = InputEnsemble(stats=stats)
-    for flag, engine in [(True, coincidence_id_general), (False, coincidence_dist_general)]:
+    by_definition = _definition_p_raw(verify._definition_table(circuit), stats)
+    for flag, engine, reference in zip(
+        (True, False), (coincidence_id_general, coincidence_dist_general), by_definition
+    ):
         explicit = coincidence_n3_explicit(circuit, ens, flag).p_raw
         general = engine(circuit, ens).p_raw
         assert explicit == pytest.approx(general, rel=1e-12, abs=1e-14)
+        assert reference == pytest.approx(explicit, rel=1e-12, abs=1e-14)
+
+
+def _definition_p_raw(table, stats):
+    """(P_id, P_dist): sum_s w(s) prod_i n_i^{s_i} g_i^(s_i) over a table of
+    verify._definition_table."""
+    products = [math.prod(st.mean_n**k * st.g[k] for st, k in zip(stats, s)) for s, _, _ in table]
+    return tuple(sum(row[column] * p for row, p in zip(table, products)) for column in (1, 2))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_definition_table_matches_the_engines_past_the_oracle(n):
+    """The engines' permanent definition, summed over verify's table, against
+    both engines on a Haar circuit past the Fock-space oracle's 4 ports: one
+    port per family at unequal means, each defined to order N, and one port
+    of mean 0, in seeded order."""
+    rng = np.random.default_rng(300 + n)
+    circuit = _haar_circuit(rng, n)
+    families = [
+        lambda: sources.fock_stats(int(rng.integers(1, 5)), max_order=n),
+        lambda: sources.laser_stats(n, mean_n=float(rng.uniform(0.1, 3))),
+        lambda: sources.thermal_stats(n, mean_n=float(rng.uniform(0.1, 3))),
+        lambda: sources.diluted_laser_stats(float(rng.uniform(0.2, 1)), n),
+        lambda: sources.vac12_mixture_stats(float(rng.uniform(0, 0.8)), float(rng.uniform(0, 1)), n),
+    ]
+    ports = [families[i]() for i in range(n - 1)] + [sources.laser_stats(n, mean_n=0.0)]
+    stats = tuple(ports[i] for i in rng.permutation(n))
+    ens = InputEnsemble(stats=stats)
+    by_definition = _definition_p_raw(verify._definition_table(circuit), stats)
+    engines = (coincidence_id_general(circuit, ens).p_raw, coincidence_dist_general(circuit, ens).p_raw)
+    assert min(engines) > 0
+    assert by_definition == pytest.approx(engines, rel=1e-12)
 
 
 def test_explicit_asymmetric_means_laser():

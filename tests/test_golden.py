@@ -1,7 +1,6 @@
 """CLI stdout against golden files.
 
-Each file under ``tests/golden/`` holds the stdout of one command, as
-printed before the closed forms were made to broadcast over arrays.  The
+Each file under ``tests/golden/`` holds the stdout of one command.  The
 text between numbers (headers, labels, JSON keys, check names) and the
 count of numbers must match exactly; each number must agree within
 1e-14 * max(1, |x|).  A deliberate change of output replaces a file with

@@ -43,6 +43,8 @@ def test_visibility_refuses_arrays():
         (0.1, np.array([1.0, 2.0]), "p_dist"),
         (0.1, np.array(1.0), "p_dist"),
         ([0.1], 1.0, "p_id"),
+        (True, 2.0, "p_id"),
+        (0.1, True, "p_dist"),
     ]:
         kind = type(p_id if name == "p_id" else p_dist).__name__
         with pytest.raises(ValueError, match=f"^{name} must be a number, got {kind}$"):
