@@ -27,7 +27,7 @@ from multiphoton.coincidence import (
     enumerate_exponent_tuples,
     uniform_ensemble,
 )
-from multiphoton.linalg import check_unitary, permanent, permanent_naive
+from multiphoton.linalg import check_unitary, permanent
 from multiphoton.sources import (
     SourceStats,
     custom_stats,
@@ -65,7 +65,6 @@ __all__ = [
     "fock_stats",
     "laser_stats",
     "permanent",
-    "permanent_naive",
     "symmetric",
     "thermal_stats",
     "uniform_ensemble",

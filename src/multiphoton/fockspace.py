@@ -67,7 +67,7 @@ def _apply_photons(
     (i, label).  The returned amplitudes are unnormalized.
     """
     n = circuit.n
-    u = circuit.u
+    u = circuit.u.tolist()
     labels = sorted({label for photon in photons for (_, label) in photon}) or [1]
     modes = tuple((port, label) for port in range(1, n + 1) for label in labels)
     index = {mode: i for i, mode in enumerate(modes)}
@@ -81,7 +81,7 @@ def _apply_photons(
             if not 1 <= port <= n:
                 raise ValueError(f"input port {port} out of range 1..{n}")
             for i in range(n):
-                amp_route = coeff * u[i, port - 1].conjugate()
+                amp_route = coeff * u[i][port - 1].conjugate()
                 idx = index[(i + 1, label)]
                 for occ, amp in state.items():
                     raised = list(occ)

@@ -3,19 +3,18 @@
 The permanent is evaluated by Glynn's formula in plain numpy, one kernel
 on every install.  The coincidence engines build their weights by a
 polynomial expansion; ``verify`` computes them from their definition
-through this kernel, a check from outside that build.
+through this kernel, a check from outside that build.  The tests hold it
+to the naive sum over all n! permutations in ``tests/references.py``.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     import numpy as np
 
 PERMANENT_MAX_DIM = 24
-NAIVE_MAX_DIM = 9
 UNITARY_TOL = 1e-12
 # Columns whose 2^k signed row sums form the permanent kernel's inner array.
 _INNER_COLUMNS = 10
@@ -70,9 +69,9 @@ def permanent(matrix) -> complex:
 
     Precision contract, each bound asserted by the tests:
 
-    * against :func:`permanent_naive`, complex Gaussian matrices with
-      n = 1..8: worst relative gap measured 1.9e-13 over 1,500 matrices;
-      asserted at 1e-10;
+    * against the tests' naive sum over all n! permutations, complex
+      Gaussian matrices with n = 1..8: worst relative gap measured 1.9e-13
+      over 1,500 matrices; asserted at 1e-10;
     * against Per(x y^T) = n! prod(x) prod(y), unit-modulus x and y with
       n = 10..20: worst relative gap measured 1.1e-15 over 110 pairs;
       asserted at 1e-12;
@@ -99,29 +98,6 @@ def permanent(matrix) -> complex:
         [np.sum(inner_signs * np.prod(inner + o[:, None], axis=0)) for o in outer.T]
     )
     return complex(np.sum(outer_signs * terms) / 2 ** (n - 1))
-
-
-def permanent_naive(matrix) -> complex:
-    """Reference permanent: explicit sum over all n! permutations.
-
-    Exponentially slower than :func:`permanent`; kept as an independent
-    oracle for cross-checking, hence the tighter size limit.
-    """
-    m = as_complex_matrix(matrix)
-    _require_square(m)
-    n = m.shape[0]
-    if n > NAIVE_MAX_DIM:
-        raise ValueError(
-            f"permanent_naive supports n <= {NAIVE_MAX_DIM}, got n = {n}"
-        )
-    rows = m.tolist()
-    total = 0j
-    for sigma in itertools.permutations(range(n)):
-        term = 1.0 + 0j
-        for i, j in enumerate(sigma):
-            term *= rows[i][j]
-        total += term
-    return total
 
 
 def check_unitary(matrix, tol: float = UNITARY_TOL) -> tuple[bool, float]:

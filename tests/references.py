@@ -4,9 +4,12 @@ the library's engines and closed forms to.
 * ``coincidence_n3_explicit`` writes the 3-port coincidence sum out term by
   term, with per-port means and statistics;
 * ``oracle_mismatch_single_photons`` runs single photons along the
-  sequential mode-overlap path through the Fock-space simulator.
+  sequential mode-overlap path through the Fock-space simulator;
+* ``permanent_naive`` sums a permanent over all n! permutations, the
+  reference of the Glynn kernel's precision contract.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -14,6 +17,9 @@ import numpy as np
 from multiphoton.circuits import Circuit
 from multiphoton.coincidence import CoincidenceResult, InputEnsemble, _as_result, _check_ports
 from multiphoton.fockspace import _apply_photons, _coincidence_expectation
+from multiphoton.linalg import _require_square, as_complex_matrix
+
+NAIVE_MAX_DIM = 9
 
 
 def coincidence_n3_explicit(
@@ -114,3 +120,26 @@ def oracle_mismatch_single_photons(circuit: Circuit, xi: float) -> float:
         ]
     state = _apply_photons(circuit, photons)
     return _coincidence_expectation(state)  # means are all 1
+
+
+def permanent_naive(matrix) -> complex:
+    """Reference permanent: explicit sum over all n! permutations.
+
+    Exponentially slower than :func:`permanent`; kept as an independent
+    oracle for cross-checking, hence the tighter size limit.
+    """
+    m = as_complex_matrix(matrix)
+    _require_square(m)
+    n = m.shape[0]
+    if n > NAIVE_MAX_DIM:
+        raise ValueError(
+            f"permanent_naive supports n <= {NAIVE_MAX_DIM}, got n = {n}"
+        )
+    rows = m.tolist()
+    total = 0j
+    for sigma in itertools.permutations(range(n)):
+        term = 1.0 + 0j
+        for i, j in enumerate(sigma):
+            term *= rows[i][j]
+        total += term
+    return total

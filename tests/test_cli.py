@@ -785,6 +785,23 @@ def test_verify_detects_injected_sign_flip(capsys, monkeypatch):
     assert [word for word, _ in rows].count("ok") == 7
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_kernel_check_sees_every_size(monkeypatch, n):
+    """A kernel off by 1e-6 at one size n fails the first check at every
+    golden seed."""
+    original = linalg.permanent
+
+    def off_at_n(matrix):
+        value = original(matrix)
+        return value * (1 + 1e-6) if np.shape(matrix) == (n, n) else value
+
+    monkeypatch.setattr(linalg, "permanent", off_at_n)
+    for seed in (0, 7, 101):
+        record = next(verify.run_checks(seed))
+        assert record.name == "permanent-ryser-vs-naive"
+        assert not record.ok, (seed, record.detail)
+
+
 def test_verify_detects_a_corrupted_weight_table(capsys, monkeypatch):
     """Flip the sign of U's last first-row entry inside the table build:
     w_dist (from |U|^2) is unchanged and w_id is wrong."""

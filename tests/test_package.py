@@ -51,6 +51,19 @@ def test_closed_form_commands_never_import_numpy(fresh_python):
     )
 
 
+def test_verify_imports_no_numpy_random(fresh_python):
+    # numpy 2.x loads numpy.random on first use; older numpy loads it on import
+    fresh_python(
+        "import sys\n"
+        "import numpy\n"
+        "before = {name for name in sys.modules if name.startswith('numpy.random')}\n"
+        "from multiphoton import verify\n"
+        "list(verify.run_checks(0))\n"
+        "loaded = {name for name in sys.modules if name.startswith('numpy.random')} - before\n"
+        "assert not loaded, sorted(loaded)\n"
+    )
+
+
 def test_import_registers_every_layer_module(fresh_python):
     """The benchmark's tracer reads its layers from sys.modules right after
     ``import multiphoton, multiphoton.cli``, and wraps the public functions
@@ -70,7 +83,7 @@ def test_import_registers_every_layer_module(fresh_python):
     )
     public = {line.split()[0]: set(line.split()[1:]) for line in out.splitlines()}
     assert {"custom", "dft", "symmetric", "beamsplitter"} <= public["circuits"]
-    assert {"permanent", "permanent_naive", "check_unitary"} <= public["linalg"]
+    assert {"permanent", "check_unitary"} <= public["linalg"]
     assert "oracle_coincidence" in public["fockspace"]
     assert "coincidence_sym_phase" in public["coincidence"]
     assert all(public.values()), public
