@@ -3,7 +3,7 @@
 Every constructor returns a :class:`Circuit` whose matrix has been
 verified unitary (tolerance 1e-12 for the analytic families, 1e-9 for
 user-supplied numeric data).  The arrays are frozen so circuits can be
-shared and used as cache keys safely.
+shared safely, and so a circuit can own the tables derived from its matrix.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from multiphoton import coincidence, linalg
@@ -30,6 +31,11 @@ class Circuit:
     @property
     def n(self) -> int:
         return self.u.shape[0]
+
+    @cached_property
+    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The weight table (w_id, w_dist): built on first use, kept while the circuit lives."""
+        return coincidence._weights(self)
 
 
 def _finish(u: np.ndarray, kind: str, tol: float) -> Circuit:

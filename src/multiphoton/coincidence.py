@@ -26,10 +26,10 @@ arrays w_id = |c_U(s)|^2 and w_dist = Re c_V(s), in the order of
 ``enumerate_exponent_tuples(N)``; a pattern sum is then one gather of a
 per-port table T[i, m] = n_i^m g_i^(m), a product over ports and a dot
 product with the weights.  The products do not depend on the weights, so
-the id and dist sums of one ensemble share one product vector.  Both caches
-follow one rule: a weight table is reused for the same ``Circuit`` object,
-the products for the same stats tuple object, and no lookup hashes or
-compares a ``SourceStats``.
+the id and dist sums of one ensemble share one product vector.  A weight
+table is built on a circuit's first sum and kept by that ``Circuit`` object
+while it lives; the products are reused for the same stats tuple object,
+and no lookup hashes or compares a ``SourceStats``.
 
 Against the same expansion run exactly in Python ints on the same float
 matrices, the table entries differ by at most 5.6e-17 (absolute) on
@@ -135,13 +135,6 @@ def _expansion_plan(n: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, .
     return s, take, tuple(shifts)
 
 
-# The weights depend only on the circuit, so each circuit gets one table
-# that scans then reuse across thousands of source configurations: the pair
-# (w_id, w_dist) of read-only float arrays, entry k belonging to pattern
-# enumerate_exponent_tuples(N)[k].  Keyed by the Circuit object, whose
-# matrix is frozen; lru_cache makes concurrent readers safe.
-
-@lru_cache(maxsize=256)
 def _weights(circuit: Circuit) -> tuple[np.ndarray, np.ndarray]:
     import numpy as np
 
@@ -161,11 +154,10 @@ def _weights(circuit: Circuit) -> tuple[np.ndarray, np.ndarray]:
 
 
 def clear_permanent_cache() -> None:
-    """Drop the weight table of every cached Circuit object and the latest
-    ensemble's pattern products (the id and dist sums of one ensemble share
-    one product vector; the per-N index plans stay)."""
+    """Drop the latest ensemble's pattern products (the id and dist sums of
+    one ensemble share one product vector).  A weight table lives and dies
+    with its circuit, and the per-N index plans stay."""
     global _latest
-    _weights.cache_clear()
     _latest = _NO_ENSEMBLE
 
 
@@ -260,7 +252,7 @@ def coincidence_dist_general(circuit: Circuit, ensemble: InputEnsemble) -> Coinc
 
 def _general(circuit: Circuit, ensemble: InputEnsemble, which: int) -> CoincidenceResult:
     _check_ports(circuit, ensemble)
-    weights = _weights(circuit)[which]
+    weights = circuit._tables[which]
     return _as_result(_pattern_sum(ensemble.stats, weights), ensemble)
 
 
@@ -361,21 +353,21 @@ def coincidence_sym_phase(
     """
     _check_interval("g2", g2, G_CAP)
     _check_interval("g3", g3, G_CAP)
-    _check_phase(phi)
-    a, b, c = _sym_phase_terms(phi, indistinguishable)
+    a, b, c = _sym_phase_terms(phi)[0 if indistinguishable else 1]
     return a * g3 + b * g2 + c
 
 
-def _sym_phase_terms(phi: float, indistinguishable: bool) -> tuple[float, float, float]:
-    """(A, B, C) with coincidence_sym_phase = A g3 + B g2 + C at this phi."""
+def _sym_phase_terms(phi: float) -> tuple[tuple[float, float, float], ...]:
+    """The (A, B, C) with coincidence_sym_phase = A g3 + B g2 + C at this
+    phi, for id and then for dist, from one set of trig and powers."""
+    _check_phase(phi)
     e = complex(math.cos(phi), math.sin(phi))
     a = (2 + e) / 3
     b = (-1 + e) / 3
     aa = abs(a) ** 2
     bb = abs(b) ** 2
     third = 3 * aa * bb**2
-    if indistinguishable:
-        second = 6 * bb * abs(a**2 + a * b + b**2) ** 2
-        return third, second, abs(a**3 + 3 * a * b**2 + 2 * b**3) ** 2
-    second = 6 * bb * (aa**2 + aa * bb + bb**2)
-    return third, second, aa**3 + 3 * aa * bb**2 + 2 * bb**3
+    return (
+        (third, 6 * bb * abs(a**2 + a * b + b**2) ** 2, abs(a**3 + 3 * a * b**2 + 2 * b**3) ** 2),
+        (third, 6 * bb * (aa**2 + aa * bb + bb**2), aa**3 + 3 * aa * bb**2 + 2 * bb**3),
+    )

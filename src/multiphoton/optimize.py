@@ -18,7 +18,6 @@ from multiphoton.coincidence import (
     coincidence_dft3,
     coincidence_hom,
     coincidence_mismatch_n3,
-    coincidence_sym_phase,
 )
 from multiphoton.sources import (
     G_CAP,
@@ -145,7 +144,12 @@ def maximize_classical(phi: float) -> OptimumReport:
     golden-section refinement of the best bracket.  A flat objective
     (e.g. the identity circuit) reports the lower boundary.
     """
-    vals = [_noise_visibility(phi, g2) for g2 in COARSE_GRID]
+    terms = _sym_phase_terms(phi)
+
+    def noise(g2: float) -> float:  # the classical boundary g3 = g2^2
+        return _sym_point(terms, g2, g2 * g2).v
+
+    vals = [noise(g2) for g2 in COARSE_GRID]
     best = max(vals)
     if best - min(vals) < 1e-14:
         lo = COARSE_GRID[0]
@@ -153,24 +157,21 @@ def maximize_classical(phi: float) -> OptimumReport:
     i = vals.index(best)  # the first maximum, as np.argmax picks
     lo = COARSE_GRID[max(i - 1, 0)]
     hi = COARSE_GRID[min(i + 1, len(COARSE_GRID) - 1)]
-    x, fx, iterations = golden_section_max(lambda g2: _noise_visibility(phi, g2), lo, hi)
+    x, fx, iterations = golden_section_max(noise, lo, hi)
     return OptimumReport(g2_opt=x, v_opt=fx, bracket=(lo, hi), iterations=iterations)
 
 
-def _noise_visibility(phi: float, g2: float) -> float:
-    """Symmetric-circuit visibility on the classical boundary g3 = g2^2."""
-    return visibility_of(coincidence_sym_phase, phi, g2, g2 * g2).v
+def _sym_point(terms, g2: float, g3: float) -> VisibilityPoint:
+    """visibility_of(coincidence_sym_phase, phi, g2, g3) from that phi's
+    _sym_phase_terms, in the closed form's own operations."""
+    (a1, b1, c1), (a2, b2, c2) = terms
+    return visibility(a1 * g3 + b1 * g2 + c1, a2 * g3 + b2 * g2 + c2)
 
 
-def _fock_visibility(phi: float, n: int) -> float:
-    """Symmetric-circuit visibility of n-photon inputs."""
-    g2 = 1 - 1 / n
-    return visibility_of(coincidence_sym_phase, phi, g2, g2 * (1 - 2 / n)).v
-
-
-def _fock_extremes(phi: float, lo: int, hi: int) -> tuple[int, float, int, float]:
+def _fock_extremes(terms, lo: int, hi: int) -> tuple[int, float, int, float]:
     """(n, V) at the largest and at the smallest Fock visibility over
-    n = lo..hi, the smallest such n on a tie, as a scan of every n finds.
+    n = lo..hi at the phase of ``terms`` (its _sym_phase_terms), the
+    smallest such n on a tie, as a scan of every n finds.
 
     P = A g3 + B g2 + C, and along the Fock family x = 1/n gives g2 = 1 - x
     and g3 = 1 - 3x + 2x^2, so P_id and P_dist are quadratics in x.  Their
@@ -179,10 +180,7 @@ def _fock_extremes(phi: float, lo: int, hi: int) -> tuple[int, float, int, float
     at lo, at hi or next to a root n = 1/x (floor and ceil, one more each
     way for rounding).
     """
-    (a1, b1, c1), (a2, b2, c2) = (
-        (2 * a, -(3 * a + b), a + b + c)
-        for a, b, c in (_sym_phase_terms(phi, flag) for flag in (True, False))
-    )
+    (a1, b1, c1), (a2, b2, c2) = ((2 * a, -(3 * a + b), a + b + c) for a, b, c in terms)
     qa, qb, qc = a1 * b2 - a2 * b1, 2 * (a1 * c2 - a2 * c1), b1 * c2 - b2 * c1
     if qa == 0:
         roots = [-qc / qb] if qb else []
@@ -196,7 +194,7 @@ def _fock_extremes(phi: float, lo: int, hi: int) -> tuple[int, float, int, float
         if x > 0 and lo - 2 < 1 / x < hi + 2:
             n = math.floor(1 / x)
             candidates.update(k for k in range(n - 1, n + 3) if lo <= k <= hi)
-    vs = {n: _fock_visibility(phi, n) for n in sorted(candidates)}
+    vs = {n: _sym_point(terms, 1 - 1 / n, (1 - 1 / n) * (1 - 2 / n)).v for n in sorted(candidates)}
     n_best = max(vs, key=vs.__getitem__)
     n_worst = min(vs, key=vs.__getitem__)
     return n_best, vs[n_best], n_worst, vs[n_worst]
@@ -211,7 +209,7 @@ def best_fock(phi: float) -> FockOptimumReport:
     generally occur at different n (single photons dominate the bump
     branch).
     """
-    return FockOptimumReport(*_fock_extremes(phi, 1, FOCK_N_MAX))
+    return FockOptimumReport(*_fock_extremes(_sym_phase_terms(phi), 1, FOCK_N_MAX))
 
 
 # --- figure-level scans ----------------------------------------------------
@@ -295,11 +293,11 @@ def scan_phase(
 ) -> list[ScanResult]:
     """Visibility and raw coincidence probabilities versus the
     symmetric-circuit phase."""
+    terms = [(phi, _sym_phase_terms(phi)) for phi in grid]
     results = []
     for label, stats in sources:
         g2, g3 = stats.g2, stats.g3
-        rows = [_row(phi, visibility_of(coincidence_sym_phase, phi, g2, g3)) for phi in grid]
-        results.append(ScanResult(label, rows))
+        results.append(ScanResult(label, [_row(phi, _sym_point(t, g2, g3)) for phi, t in terms]))
     return results
 
 
@@ -316,12 +314,13 @@ def crossover_window() -> CrossoverReport:
     g2_fixed = maximize_classical(anchor_phi).g2_opt
     rows = []
     for phi in linear_grid(0.46 * math.pi, 0.505 * math.pi, 91):
-        v_laser = visibility_of(coincidence_sym_phase, phi, 1.0, 1.0).v
-        n_best, v_fock, _, _ = _fock_extremes(phi, 3, 200)
+        terms = _sym_phase_terms(phi)
+        v_laser = _sym_point(terms, 1.0, 1.0).v
+        n_best, v_fock, _, _ = _fock_extremes(terms, 3, 200)
         rows.append({
             "phi": phi,
             "fock_margin": v_fock - v_laser,
-            "noise_margin": _noise_visibility(phi, g2_fixed) - v_laser,
+            "noise_margin": _sym_point(terms, g2_fixed, g2_fixed * g2_fixed).v - v_laser,
             "n_best": n_best,
         })
     in_window = [row["phi"] for row in rows if row["fock_margin"] > 0 and row["noise_margin"] > 0]

@@ -33,7 +33,7 @@ class SourceStats:
     def __post_init__(self):
         if type(self.g) is not tuple:  # a list or an array sums as its tuple
             object.__setattr__(self, "g", tuple(self.g))
-        if not (math.isfinite(self.mean_n) and self.mean_n >= 0):
+        if type(self.mean_n) is bool or not (math.isfinite(self.mean_n) and self.mean_n >= 0):
             raise ValueError(f"mean photon number must be >= 0, got {self.mean_n}")
         if len(self.g) < 2:
             raise ValueError("g sequence must cover at least orders 0 and 1")
@@ -64,7 +64,7 @@ class SourceStats:
 
 def _orders(max_order: int) -> range:
     """The orders m >= 2 of a source defined to exactly 0..max_order."""
-    if max_order < 1:
+    if max_order < 1 or type(max_order) is bool:
         raise ValueError(f"max_order must be >= 1, got {max_order}")
     return range(2, max_order + 1)
 
@@ -79,7 +79,7 @@ def fock_stats(n: int, max_order: int = 3) -> SourceStats:
     g^(2) = 1 - 1/n and g^(3) = (1 - 1/n)(1 - 2/n).
     """
     if type(n) is not int:  # the common case skips the slow ABC check
-        if not isinstance(n, numbers.Integral):
+        if not isinstance(n, numbers.Integral) or isinstance(n, bool):
             raise ValueError(f"photon number must be an integer, got {n!r}")
         n = int(n)
     if n < 1:
@@ -118,7 +118,7 @@ def diluted_laser_stats(p: float, max_order: int = 3) -> SourceStats:
     classical Cauchy-Schwarz bound, which is what makes it the optimal
     engineered-noise source.
     """
-    if not 0 < p <= 1:
+    if type(p) is bool or not 0 < p <= 1:
         raise ValueError(f"dilution probability must be in (0, 1], got {p}")
     try:
         gs = [p ** (1 - m) for m in _orders(max_order)]
@@ -136,9 +136,9 @@ def vac12_mixture_stats(p: float, q: float, max_order: int = 3) -> SourceStats:
     On the balanced 3-port its visibility is (x - 1)/(x + 2) with
     x = 6 g^(2) = 12(1-q) / ((1-p)(2-q)^2).
     """
-    if not 0 <= p < 1:
+    if type(p) is bool or not 0 <= p < 1:
         raise ValueError(f"vacuum probability must be in [0, 1), got {p}")
-    if not 0 <= q <= 1:
+    if type(q) is bool or not 0 <= q <= 1:
         raise ValueError(f"single-photon branching must be in [0, 1], got {q}")
     mean = (1 - p) * (2 - q)
     g2 = 2 * (1 - q) / ((1 - p) * (2 - q) ** 2)
@@ -148,5 +148,8 @@ def vac12_mixture_stats(p: float, q: float, max_order: int = 3) -> SourceStats:
 
 def custom_stats(g2: float, g3: float | None = None, mean_n: float = 1.0) -> SourceStats:
     """Source given directly by its low-order autocorrelations, defined to the highest one given."""
+    for m, value in ((2, g2), (3, g3)):
+        if type(value) is bool:  # float() would take it as 0 or 1
+            raise ValueError(f"g({m}) = {value} outside [0, {G_CAP:g}]")
     values = [float(g2)] if g3 is None else [float(g2), float(g3)]
     return _with_prefix(values, mean_n)

@@ -725,11 +725,17 @@ def test_run_checks_yields_every_record_in_cli_order():
     assert all(r.ok and r.seconds >= 0 for r in records)
 
 
-def test_verify_builds_one_table_per_circuit():
+def test_verify_builds_one_table_per_circuit(monkeypatch):
     # ten distinct circuits; the balanced 3-port that three checks read is built once
-    coincidence.clear_permanent_cache()
+    build, calls = coincidence._weights, []
+
+    def counted(circuit):
+        calls.append(circuit)
+        return build(circuit)
+
+    monkeypatch.setattr(coincidence, "_weights", counted)
     list(verify.run_checks(0))
-    assert coincidence._weights.cache_info().misses == 10
+    assert len(calls) == 10
 
 
 def test_crashed_check_is_one_failed_record(capsys, monkeypatch):
@@ -805,20 +811,15 @@ def test_kernel_check_sees_every_size(monkeypatch, n):
 def test_verify_detects_a_corrupted_weight_table(capsys, monkeypatch):
     """Flip the sign of U's last first-row entry inside the table build:
     w_dist (from |U|^2) is unchanged and w_id is wrong."""
-    build = coincidence._weights.__wrapped__
+    build = coincidence._weights
 
     def corrupted(circuit):
         u = circuit.u.copy()
         u[0, -1] = -u[0, -1]
         return build(circuits.Circuit(u=u))
 
-    coincidence.clear_permanent_cache()
-    try:
-        with monkeypatch.context() as patch:
-            patch.setattr(coincidence, "_weights", corrupted)
-            code, out, _ = run_cli(capsys, "verify", "--seed", "7")
-    finally:
-        coincidence.clear_permanent_cache()
+    monkeypatch.setattr(coincidence, "_weights", corrupted)
+    code, out, _ = run_cli(capsys, "verify", "--seed", "7")
     assert code == 1
     rows = [line.split(":")[0].split() for line in out.splitlines()[:-1]]
     assert sorted(name for word, name in rows if word == "FAIL") == [

@@ -98,11 +98,19 @@ def test_fock_approaches_poissonian_at_any_phase():
 def test_fock_curve_matches_fock_stats(phi):
     # the optimizers' float Fock curve against fock_stats' exact ratios,
     # which differ in the last bit of g2 or g3 at 291 of these n
+    terms = coincidence._sym_phase_terms(phi)
     for n in range(1, optimize.FOCK_N_MAX + 1):
-        v = optimize._fock_visibility(phi, n)
+        v = fock_visibility(terms, n)
         stats = sources.fock_stats(n)
         exact = visibility_of(coincidence.coincidence_sym_phase, phi, stats.g2, stats.g3).v
         assert v == pytest.approx(exact, rel=0, abs=1e-14)
+
+
+def fock_visibility(terms, n):
+    """The optimizers' Fock visibility at one n: their extremes over n..n."""
+    n_best, v_best, _, _ = optimize._fock_extremes(terms, n, n)
+    assert n_best == n
+    return v_best
 
 
 def fock_curve(phi, ns):
@@ -110,10 +118,7 @@ def fock_curve(phi, ns):
     operations: the closed form's A g3 + B g2 + C, then 1 - p_id / p_dist."""
     g2 = 1 - 1 / ns
     g3 = g2 * (1 - 2 / ns)
-    p_id, p_dist = (
-        a * g3 + b * g2 + c
-        for a, b, c in (coincidence._sym_phase_terms(phi, flag) for flag in (True, False))
-    )
+    p_id, p_dist = (a * g3 + b * g2 + c for a, b, c in coincidence._sym_phase_terms(phi))
     return 1 - p_id / p_dist
 
 
@@ -131,7 +136,8 @@ FOCK_PHASES = sorted(
 def test_fock_curve_of_the_exhaustive_scan_is_the_float_path():
     ns = np.arange(1, optimize.FOCK_N_MAX + 1, dtype=float)
     for phi in np.linspace(0, 2 * math.pi, 9).tolist():
-        expected = [optimize._fock_visibility(phi, n) for n in range(1, optimize.FOCK_N_MAX + 1)]
+        terms = coincidence._sym_phase_terms(phi)
+        expected = [fock_visibility(terms, n) for n in range(1, optimize.FOCK_N_MAX + 1)]
         assert fock_curve(phi, ns).tolist() == expected
 
 
@@ -150,7 +156,7 @@ def test_fock_extremes_match_an_exhaustive_scan():
         assert (report.n_best, report.n_worst) == (best + 1, worst + 1), phi
         assert (report.v_best, report.v_worst) == (vs[best], vs[worst]), phi
         window = vs[2:200]  # n = 3..200, crossover_window's range
-        n_best, v_best, _, _ = optimize._fock_extremes(phi, 3, 200)
+        n_best, v_best, _, _ = optimize._fock_extremes(coincidence._sym_phase_terms(phi), 3, 200)
         assert (n_best, v_best) == (int(np.argmax(window)) + 3, window.max()), phi
 
 

@@ -208,3 +208,31 @@ def test_source_stats_keeps_its_gs_in_a_tuple(container):
         got, want = (engine(circuit, coincidence.uniform_ensemble(3, s)) for s in (stats, reference))
         assert got.p_raw.hex() == want.p_raw.hex()
         assert got.p_normalized.hex() == want.p_normalized.hex()
+
+
+BOOL_REFUSALS = {
+    "fock-n": (lambda: sources.fock_stats(True), "photon number must be an integer, got True"),
+    "fock-max-order": (lambda: sources.fock_stats(2, True), "max_order must be >= 1, got True"),
+    "laser-max-order": (lambda: sources.laser_stats(True), "max_order must be >= 1, got True"),
+    "laser-mean": (lambda: sources.laser_stats(mean_n=True), "mean photon number must be >= 0, got True"),
+    "thermal-max-order": (lambda: sources.thermal_stats(True), "max_order must be >= 1, got True"),
+    "thermal-mean": (lambda: sources.thermal_stats(mean_n=False), "mean photon number must be >= 0, got False"),
+    "diluted-p": (lambda: sources.diluted_laser_stats(True), r"dilution probability must be in \(0, 1\], got True"),
+    "diluted-max-order": (lambda: sources.diluted_laser_stats(0.5, True), "max_order must be >= 1, got True"),
+    "vac12-p": (lambda: sources.vac12_mixture_stats(False, 0.5), r"vacuum probability must be in \[0, 1\), got False"),
+    "vac12-q": (lambda: sources.vac12_mixture_stats(0.5, True), r"single-photon branching must be in \[0, 1\], got True"),
+    "vac12-max-order": (lambda: sources.vac12_mixture_stats(0.5, 0.5, True), "max_order must be >= 1, got True"),
+    "custom-g2": (lambda: sources.custom_stats(True), r"g\(2\) = True outside \[0, 1e\+12\]"),
+    "custom-g3": (lambda: sources.custom_stats(1.0, False), r"g\(3\) = False outside \[0, 1e\+12\]"),
+    "custom-mean": (lambda: sources.custom_stats(1.0, mean_n=True), "mean photon number must be >= 0, got True"),
+    "record-mean": (lambda: sources.SourceStats(True, (1.0, 1.0)), "mean photon number must be >= 0, got True"),
+}
+
+
+@pytest.mark.parametrize("case", BOOL_REFUSALS)
+def test_constructors_refuse_a_bool(case):
+    """A bool is no number here, as in visibility() and the closed forms,
+    though Python would take it as 0 or 1."""
+    build, message = BOOL_REFUSALS[case]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()

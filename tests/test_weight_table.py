@@ -8,8 +8,13 @@ count up to MAX_PORTS, and pin when a missing g^(m) order is an error,
 whatever the port labels.
 """
 
+import gc
 import itertools
 import math
+import sys
+import threading
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -216,27 +221,78 @@ def test_table_is_read_only():
         w_dist[0] = 1.0
 
 
-def test_table_cache_is_keyed_by_the_circuit_object():
+def test_table_cache_is_keyed_by_the_circuit_object(monkeypatch):
     """A circuit's second lookup returns its tables and builds nothing; a
     second circuit on the same matrix builds its own, with the same bits;
-    clear_permanent_cache makes the first circuit build again."""
+    clear_permanent_cache leaves both tables in place."""
     u = haar(21, 5)
-    first = circuits.custom(u)
-    coincidence.clear_permanent_cache()
-    tables = coincidence._weights(first)
-    again = coincidence._weights(first)
-    assert again[0] is tables[0] and again[1] is tables[1]
-    assert coincidence._weights.cache_info().misses == 1
+    first, second = circuits.custom(u), circuits.custom(u)
+    build, builds = coincidence._weights, []
 
-    twin = coincidence._weights(circuits.custom(u))
-    assert coincidence._weights.cache_info().misses == 2
+    def counted(circuit):
+        builds.append(circuit)
+        return build(circuit)
+
+    monkeypatch.setattr(coincidence, "_weights", counted)
+    tables = first._tables
+    again = first._tables
+    assert again[0] is tables[0] and again[1] is tables[1]
+    assert builds == [first]
+
+    twin = second._tables
+    assert builds == [first, second]
+    for a, b in zip(twin, tables):
+        assert a is not b
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
     coincidence.clear_permanent_cache()
-    rebuilt = coincidence._weights(first)
-    assert coincidence._weights.cache_info().misses == 1
-    for built in (twin, rebuilt):
-        for a, b in zip(built, tables):
-            assert a is not b
-            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+    assert first._tables is tables and second._tables is twin
+    assert len(builds) == 2
+
+
+def test_a_circuit_keeps_its_table_while_others_are_summed():
+    """However many circuits are summed after it, a live circuit's table is
+    the one its first sum built."""
+    ens = uniform_ensemble(8, sources.thermal_stats(8))
+    kept = circuits.custom(haar(30, 8))
+    first = [engine(kept, ens).p_raw for engine in ENGINES]
+    tables = kept._tables
+    for seed in range(300):
+        coincidence_id_general(circuits.custom(haar(1000 + seed, 8)), ens)
+    assert kept._tables[0] is tables[0] and kept._tables[1] is tables[1]
+    assert [engine(kept, ens).p_raw for engine in ENGINES] == first
+
+
+def test_a_dropped_circuit_frees_its_table():
+    circuit = circuits.custom(haar(31, 6))
+    coincidence_id_general(circuit, uniform_ensemble(6, sources.laser_stats(6)))
+    table = weakref.ref(circuit._tables[0])
+    del circuit
+    gc.collect()
+    assert table() is None
+
+
+def test_concurrent_first_sums_agree_bit_for_bit():
+    """Threads making the first id and dist sums on one fresh circuit get
+    the bits that one thread gets, whether or not cached_property locks
+    the first build (it does before Python 3.12)."""
+    u = haar(32, 7)
+    ens = InputEnsemble(stats=tuple(sources.thermal_stats(7, mean_n=0.5 + k / 7) for k in range(7)))
+    want = [engine(circuits.custom(u), ens).p_raw.hex() for engine in ENGINES]
+    circuit = circuits.custom(u)
+    start = threading.Barrier(8, timeout=30)
+
+    def first_sums(_):
+        start.wait()
+        return [engine(circuit, ens).p_raw.hex() for engine in ENGINES]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(first_sums, range(8), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [want] * 8
 
 
 # --- exact invariants at any N --------------------------------------------------
